@@ -5,10 +5,12 @@ Usage: python scripts/reproduce_all.py [OUTDIR]
 
 Writes one CSV (or several) plus a JSON summary per experiment into OUTDIR
 (default ./reproduction) and prints a one-line verdict for each check.
+Exits 1 when any check fails, 0 otherwise.
 """
 
 import sys
 
+from posinv.cli import EXIT_CHECK_FAILED, EXIT_OK
 from posinv.experiments import EXPERIMENT_IDS, run_experiment
 
 
@@ -25,7 +27,7 @@ def main() -> int:
         for path in files:
             print(f"{exp_id:10s} wrote {path}")
     print(f"\n{n_fail} failing checks")
-    return 0
+    return EXIT_CHECK_FAILED if n_fail else EXIT_OK
 
 
 if __name__ == "__main__":

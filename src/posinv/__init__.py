@@ -37,7 +37,6 @@ from .linalg import (
     SystemReport,
     eigenvalues,
     expm_apply,
-    metzler_disk_check,
     nullspace,
     validate_system,
 )

@@ -9,8 +9,9 @@ Subcommands::
 
 Models are addressed as ``builtin:name?params``, a model-file path, or
 ``random:N`` (a seeded member of the conservative Metzler class; see
-``--seed``).  Exit codes: 0 ok, 2 usage or model error, 3 numerical failure.
-Identical command lines produce byte-identical output files.
+``--seed``).  Exit codes: 0 ok, 1 a ``reproduce`` check failed, 2 usage or
+model error, 3 numerical failure.  Identical command lines produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 from . import experiments, stability
 from .errors import ModelError, NumericsError, PosinvError
 from .integrators import SCHEME_IDS, SchemeSpec, integrate, make_scheme
-from .linalg import expm_apply
 from .pds import LinearPds, load_model, steady_state_for
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICS = 3
 
@@ -65,15 +66,9 @@ def _emit(path: str | None, header, rows) -> None:
 
 def cmd_integrate(args) -> int:
     model, y0, _ = _resolve_model(args.model, args.seed)
-    scheme = _make_scheme(args)
-    traj = integrate(model, scheme, y0, dt=args.dt, n_steps=args.steps)
-    rows = []
-    for n, (t, y) in enumerate(zip(traj.times, traj.states)):
-        err = float(np.max(np.abs(y - expm_apply(model.a, y0, t))))
-        rows.append([n, t, *y, traj.invariant_defect[n], err])
-    dim = model.dimension
-    header = ["step", "t"] + [f"y_{i + 1}" for i in range(dim)] + ["inv_defect", "err"]
-    _emit(args.out, header, rows)
+    traj = integrate(model, _make_scheme(args), y0, dt=args.dt, n_steps=args.steps)
+    header = experiments.state_header(model.dimension, False)[:-1] + ["err"]
+    _emit(args.out, header, experiments.trajectory_rows(model, traj, y0))
     return EXIT_OK
 
 
@@ -115,7 +110,7 @@ def cmd_reproduce(args) -> int:
               f"(tol {check.tolerance}), observed {check.observed}")
     for path in files:
         print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK if all(check.passed for check in checks) else EXIT_CHECK_FAILED
 
 
 def cmd_order(args) -> int:

@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,20 +26,6 @@ from . import stability
 from .integrators import integrate, make_scheme, step_map
 from .linalg import expm_apply
 from .pds import resolve_builtin, steady_state_for
-
-EXPERIMENT_IDS = (
-    "fig2",
-    "fig3a",
-    "fig3c",
-    "fig4a",
-    "fig4c",
-    "fig5a",
-    "fig5c",
-    "fig6",
-    "remark8",
-    "jacobians",
-    "order",
-)
 
 #: Steps for the near-critical runs; contraction is only ~2e-3 per step at
 #: dt = dt* (1 - 1e-3), so thousands of steps are needed to see convergence.
@@ -103,7 +90,7 @@ def _summary(outdir: str, exp_id: str, checks: list[Check], extra: dict | None =
     return path
 
 
-def _trajectory_rows(model, traj, start, y_star=None):
+def trajectory_rows(model, traj, start, y_star=None):
     """CSV rows: step, t, state, invariant defect, errors vs flow and steady state."""
     rows = []
     for n, (t, y) in enumerate(zip(traj.times, traj.states)):
@@ -116,7 +103,7 @@ def _trajectory_rows(model, traj, start, y_star=None):
     return rows
 
 
-def _state_header(dim: int, with_steady: bool) -> list[str]:
+def state_header(dim: int, with_steady: bool) -> list[str]:
     header = ["step", "t"] + [f"y_{i + 1}" for i in range(dim)] + ["inv_defect", "err_ref"]
     if with_steady:
         header.append("err_steady")
@@ -129,9 +116,9 @@ def run_fig2(outdir: str) -> tuple[list[str], list[Check]]:
     model = doc.build()
     y_star = steady_state_for(model, doc.y0)
     traj = integrate(model, make_scheme("geco1"), doc.y0, dt=1.0, n_steps=200)
-    rows = _trajectory_rows(model, traj, doc.y0, y_star)
+    rows = trajectory_rows(model, traj, doc.y0, y_star)
     path = os.path.join(outdir, "fig2.csv")
-    write_csv(path, _state_header(5, True), rows)
+    write_csv(path, state_header(5, True), rows)
 
     final_err = float(np.max(np.abs(traj.final - y_star)))
     checks = [
@@ -183,9 +170,9 @@ def run_bifurcation(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
 
     traj = integrate(model, scheme, start, dt=dt, n_steps=steps)
     errors = np.array([float(np.max(np.abs(y - y_star))) for y in traj.states])
-    rows = _trajectory_rows(model, traj, start, y_star)
+    rows = trajectory_rows(model, traj, start, y_star)
     path = os.path.join(outdir, f"{exp_id}.csv")
-    write_csv(path, _state_header(5, True), rows)
+    write_csv(path, state_header(5, True), rows)
 
     checks = [
         Check(
@@ -265,9 +252,9 @@ def run_fig6(outdir: str) -> tuple[list[str], list[Check]]:
         doc = resolve_builtin(f"builtin:paper-stiff?K={K:g}")
         model = doc.build()
         traj = integrate(model, make_scheme("geco1"), doc.y0, dt=0.1, n_steps=1000)
-        rows = _trajectory_rows(model, traj, doc.y0)
+        rows = trajectory_rows(model, traj, doc.y0)
         path = os.path.join(outdir, f"fig6_K{K:g}.csv")
-        write_csv(path, _state_header(3, False), rows)
+        write_csv(path, state_header(3, False), rows)
         files.append(path)
 
         states = np.array(traj.states)
@@ -409,19 +396,20 @@ def run_order(outdir: str) -> tuple[list[str], list[Check]]:
     return [path, _summary(outdir, "order", checks, {"note": note})], checks
 
 
+_RUNNERS = {
+    "fig2": run_fig2,
+    **{exp_id: partial(run_bifurcation, exp_id) for exp_id in _BIFURCATION},
+    "fig6": run_fig6,
+    "remark8": run_remark8,
+    "jacobians": run_jacobians,
+    "order": run_order,
+}
+EXPERIMENT_IDS = tuple(_RUNNERS)
+
+
 def run_experiment(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
     """Dispatch one experiment id; returns written files and its checks."""
+    if exp_id not in _RUNNERS:
+        raise ValueError(f"unknown experiment {exp_id!r}; known: {EXPERIMENT_IDS}")
     os.makedirs(outdir, exist_ok=True)
-    if exp_id == "fig2":
-        return run_fig2(outdir)
-    if exp_id in _BIFURCATION:
-        return run_bifurcation(exp_id, outdir)
-    if exp_id == "fig6":
-        return run_fig6(outdir)
-    if exp_id == "remark8":
-        return run_remark8(outdir)
-    if exp_id == "jacobians":
-        return run_jacobians(outdir)
-    if exp_id == "order":
-        return run_order(outdir)
-    raise ValueError(f"unknown experiment {exp_id!r}; known: {EXPERIMENT_IDS}")
+    return _RUNNERS[exp_id](outdir)

@@ -21,10 +21,38 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, ModelError, NumericsError, PosinvError, SolverError
-from .pds import GeneralPds, LinearPds, destruction_rate_sum
+from .pds import LinearPds, destruction_rate_sum
 
-SCHEME_IDS = ("euler", "heun", "geco1", "geco2", "gbbks1", "gbbks2")
-POSITIVITY_PRESERVING = frozenset({"geco1", "geco2", "gbbks1", "gbbks2"})
+
+@dataclass(frozen=True)
+class Scheme:
+    """One entry of :data:`SCHEMES`.
+
+    ``step`` maps (model, spec, y, dt) to a :class:`StepOutcome`.  ``damping``
+    holds the factors d_k(x), x = dt*trace(S-), of the stability polynomial
+    1 + z*d_1 + z^2/2*d_2 (z = dt*lambda); on a linear model the steady-state
+    Jacobian is that polynomial at dt*A.
+    """
+
+    step: Callable[..., StepOutcome]
+    damping: tuple[Callable[[float], float], ...]
+
+
+def _one(x: float) -> float:
+    return 1.0
+
+
+# The adapters look each step function up by name at call time, so a rebinding
+# of the module attribute (a profiler's wrapper, say) is seen by ``step``.
+SCHEMES = {
+    "euler": Scheme(lambda m, s, y, dt: euler_step(m, y, dt), (_one,)),
+    "heun": Scheme(lambda m, s, y, dt: heun_step(m, y, dt), (_one, _one)),
+    "geco1": Scheme(lambda m, s, y, dt: geco1_step(m, y, dt), (lambda x: phi(x),)),
+    "geco2": Scheme(lambda m, s, y, dt: geco2_step(m, y, dt), (_one, lambda x: phi(x))),
+    "gbbks1": Scheme(lambda m, s, y, dt: gbbks1_step(m, y, dt, s.strategy), (_one,)),
+    "gbbks2": Scheme(lambda m, s, y, dt: gbbks2_step(m, y, dt, s.alpha, s.strategy), (_one, _one)),
+}
+SCHEME_IDS = tuple(SCHEMES)
 
 #: Below this argument the direct formula for ``phi`` loses digits; switch to
 #: the four-term series (next term is x^4/120 ~ 1e-22 relative at the cutoff).
@@ -131,10 +159,6 @@ def solve_tau(c, d, sigma, r: float) -> float:
     )
 
 
-def _positive_vector(y) -> np.ndarray:
-    return np.asarray(y, dtype=float)
-
-
 @dataclass(frozen=True)
 class GbbksStrategy:
     """Free parameters of the product-term schemes, as functions of the state.
@@ -156,9 +180,9 @@ class GbbksStrategy:
     def bbks1(cls) -> "GbbksStrategy":
         """Classic first-order preset: sigma_m = y_m, r = 1."""
         return cls(
-            sigma=lambda y, y2=None: _positive_vector(y),
+            sigma=lambda y, y2=None: y,
             r=lambda y: 1.0,
-            pi=lambda y: _positive_vector(y),
+            pi=lambda y: y,
             q=lambda y: 1.0,
             name="bbks1",
         )
@@ -169,15 +193,10 @@ class GbbksStrategy:
         alpha = float(alpha)
         e1, e2 = 1.0 - 1.0 / alpha, 1.0 / alpha
 
-        def sigma(y, y2):
-            y = _positive_vector(y)
-            y2 = _positive_vector(y2)
-            return np.power(y, e1) * np.power(y2, e2)
-
         return cls(
-            sigma=sigma,
+            sigma=lambda y, y2: np.power(y, e1) * np.power(y2, e2),
             r=lambda y: 1.0,
-            pi=lambda y: _positive_vector(y),
+            pi=lambda y: y,
             q=lambda y: 1.0,
             name=f"bbks2({alpha:g})",
         )
@@ -199,10 +218,6 @@ class SchemeSpec:
                 raise ValueError("gbbks2 requires alpha >= 1/2")
         if self.id in ("gbbks1", "gbbks2") and self.strategy is None:
             raise ValueError(f"{self.id} requires a parameter strategy")
-
-    @property
-    def positivity_preserving(self) -> bool:
-        return self.id in POSITIVITY_PRESERVING
 
 
 def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
@@ -354,19 +369,7 @@ def gbbks2_step(model, y, dt: float, alpha: float, strategy: GbbksStrategy) -> S
 
 def step(model, scheme: SchemeSpec, y, dt: float) -> StepOutcome:
     """Apply one step of ``scheme`` to ``y``."""
-    if scheme.id == "euler":
-        return euler_step(model, y, dt)
-    if scheme.id == "heun":
-        return heun_step(model, y, dt)
-    if scheme.id == "geco1":
-        return geco1_step(model, y, dt)
-    if scheme.id == "geco2":
-        return geco2_step(model, y, dt)
-    if scheme.id == "gbbks1":
-        return gbbks1_step(model, y, dt, scheme.strategy)
-    if scheme.id == "gbbks2":
-        return gbbks2_step(model, y, dt, scheme.alpha, scheme.strategy)
-    raise ValueError(f"unknown scheme {scheme.id!r}")
+    return SCHEMES[scheme.id].step(model, scheme, y, dt)
 
 
 def step_map(model, scheme: SchemeSpec, dt: float) -> Callable[[np.ndarray], np.ndarray]:

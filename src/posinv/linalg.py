@@ -36,13 +36,11 @@ class Spectrum:
     """All eigenvalues of a real matrix, with the tolerance they were verified at.
 
     ``values`` holds complex eigenvalues; conjugate pairs are exact for real
-    input.  ``iterations_used`` is 0 when the computation is delegated to the
-    LAPACK QR driver (which does not expose its sweep count).
+    input.
     """
 
     values: np.ndarray
     convergence_tol: float
-    iterations_used: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
@@ -225,17 +223,3 @@ def validate_system(a) -> SystemReport:
         proper_metzler=proper,
         spectrum=spec,
     )
-
-
-def metzler_disk_check(a, spectrum: Spectrum | None = None) -> bool:
-    """Whether every eigenvalue lies in the disk |z - r| <= |r|, r = min diagonal.
-
-    For Metzler matrices this disk contains the whole spectrum; the check is
-    the computational core of the unconditional-stability certificate.
-    """
-    a = _as_square(a)
-    if spectrum is None:
-        spectrum = eigenvalues(a)
-    r = float(np.min(np.diag(a)))
-    tol = 1e-10 * max(np.linalg.norm(a, np.inf), 1.0)
-    return bool(np.all(np.abs(spectrum.values - r) <= abs(r) + tol))

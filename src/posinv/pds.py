@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-from urllib.parse import parse_qsl
 
 import numpy as np
 
@@ -90,18 +89,22 @@ class LinearPds:
 class GeneralPds:
     """Nonlinear production-destruction system given by callables.
 
-    ``destruction_rate`` returns the vector d(y) >= 0 with
-    f^[D]_j(y) = d_j(y) * y_j; supplying rates instead of raw destruction
+    ``production`` returns p(y) and ``destruction_rate`` the vector d(y) >= 0
+    with f^[D]_j(y) = d_j(y) * y_j; supplying rates instead of raw destruction
     terms makes division by state components unnecessary, so models remain
     evaluable at states with zero components.  ``invariant_rows`` is optional
     and only used for trajectory diagnostics.
     """
 
     dimension: int
-    rhs: Callable[[np.ndarray], np.ndarray]
     production: Callable[[np.ndarray], np.ndarray]
     destruction_rate: Callable[[np.ndarray], np.ndarray]
     invariant_rows: np.ndarray | None = None
+
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """Right-hand side f(y) = p(y) - d(y) * y."""
+        rates = np.asarray(self.destruction_rate(y), dtype=float)
+        return np.asarray(self.production(y), dtype=float) - rates * y
 
 
 def destruction_rate_sum(model, y) -> float:
@@ -213,7 +216,9 @@ def resolve_builtin(address: str) -> ModelDocument:
     if name not in BUILTIN_MODELS:
         raise ModelError(f"unknown builtin model {name!r}; known: {sorted(BUILTIN_MODELS)}")
     params = {}
-    for key, value in parse_qsl(query):
+    # no form decoding, which would turn the '+' of K=1e+06 into a space
+    for item in query.split("&") if query else ():
+        key, _, value = item.partition("=")
         try:
             params[key] = float(value)
         except ValueError as exc:

@@ -1,7 +1,9 @@
 """Fixed-point stability toolkit for the schemes on linear models.
 
 The positivity-preserving schemes generate nonlinear maps even on linear
-problems, but at a positive steady state their Jacobians have closed forms:
+problems, but at a positive steady state their Jacobians have closed forms.
+Both columns are generated from the damping factors d_k(dt*trace(S-)) in
+``integrators.SCHEMES``: 1 + z*d_1 + z^2/2*d_2, and that polynomial at dt*A.
 
 ==========  =====================================  =========================
 scheme      Jacobian at the steady state           scalar stability value
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericsError
-from .integrators import SchemeSpec, make_scheme, phi, step_map
+from .integrators import SCHEMES, SchemeSpec, make_scheme, phi, step_map
 from .pds import LinearPds
 
 #: Eigenvalues within this window of 1 are attributed to the kernel.
@@ -47,27 +49,24 @@ STEP_SEARCH_CAP = 1e6
 REPORTED_ENDPOINT_BRACKET = (-3.9924, -3.9923)
 
 
-def _scheme_id(scheme) -> str:
-    return scheme.id if isinstance(scheme, SchemeSpec) else str(scheme)
+def _damping(scheme, x: float) -> list[float]:
+    """Damping factors (d_1[, d_2]) of a scheme or scheme id at x = dt*trace(S-)."""
+    sid = getattr(scheme, "id", scheme)
+    if sid not in SCHEMES:
+        raise ValueError(f"unknown scheme {sid!r}")
+    return [factor(x) for factor in SCHEMES[sid].damping]
 
 
 def stability_value(scheme, z: complex, dt_trace: float = 0.0) -> complex:
-    """Scalar stability value of a scheme at z = dt*lambda.
+    """Scalar stability value 1 + z*d_1 + z^2/2*d_2 of a scheme at z = dt*lambda.
 
     ``dt_trace`` = dt * trace(S-) feeds the damping kernel of the geco
     schemes and is ignored by the others.
     """
-    sid = _scheme_id(scheme)
     z = complex(z)
-    if sid in ("euler", "gbbks1"):
-        return 1.0 + z
-    if sid in ("heun", "gbbks2"):
-        return 1.0 + z + 0.5 * z * z
-    if sid == "geco1":
-        return 1.0 + z * phi(dt_trace)
-    if sid == "geco2":
-        return 1.0 + z + 0.5 * z * z * phi(dt_trace)
-    raise ValueError(f"no stability value for scheme {sid!r}")
+    d = _damping(scheme, dt_trace)
+    value = 1.0 + z * d[0]
+    return value + 0.5 * z * z * d[1] if len(d) > 1 else value
 
 
 @dataclass(frozen=True)
@@ -184,19 +183,11 @@ def numerical_jacobian(step_fn: Callable, y_star, h: float = 1e-6) -> np.ndarray
 
 
 def closed_form_jacobian(model: LinearPds, scheme, dt: float) -> np.ndarray:
-    """Steady-state Jacobian of the scheme's step map on a linear model."""
-    sid = _scheme_id(scheme)
+    """Steady-state Jacobian I + dt*d_1*A + dt^2/2*d_2*A^2 of the scheme's step map."""
     a = model.a
-    eye = np.eye(a.shape[0])
-    if sid in ("euler", "gbbks1"):
-        return eye + dt * a
-    if sid in ("heun", "gbbks2"):
-        return eye + dt * a + 0.5 * dt * dt * (a @ a)
-    if sid == "geco1":
-        return eye + dt * phi(dt * model.trace_s_minus) * a
-    if sid == "geco2":
-        return eye + dt * a + 0.5 * dt * dt * phi(dt * model.trace_s_minus) * (a @ a)
-    raise ValueError(f"no closed-form Jacobian for scheme {sid!r}")
+    d = _damping(scheme, dt * model.trace_s_minus)
+    jac = np.eye(a.shape[0]) + dt * d[0] * a
+    return jac + 0.5 * dt * dt * d[1] * (a @ a) if len(d) > 1 else jac
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,7 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float,
 
     jac = closed_form_jacobian(model, scheme, dt)
     if cross_check:
-        spec_obj = scheme if isinstance(scheme, SchemeSpec) else make_scheme(_scheme_id(scheme))
+        spec_obj = scheme if isinstance(scheme, SchemeSpec) else make_scheme(scheme)
         fd = numerical_jacobian(step_map(model, spec_obj, dt), y_star, h=1e-6)
         gap = float(np.max(np.abs(fd - jac)))
         if gap > 1e-3 * max(1.0, float(np.max(np.abs(jac)))):

@@ -1,11 +1,17 @@
 """CLI surface: subcommands, CSV format, exit codes, determinism."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from posinv.cli import main
+from posinv import experiments
+from posinv.cli import EXIT_CHECK_FAILED, main
+
+REPRODUCE_ALL = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
 
 GECO1_RUN = ["integrate", "--model", "builtin:paper-5x5", "--scheme", "geco1",
              "--dt", "1", "--steps", "200"]
@@ -27,6 +33,14 @@ class TestIntegrate:
         last = lines[-1].split(",")
         assert float(last[-1]) < 1e-10  # error vs the exponential reference
         assert float(last[-2]) <= 1e-12  # invariant defect
+
+    def test_exponent_with_plus_sign_in_address(self, capsys):
+        code, out, _ = run(capsys, "integrate", "--model", "builtin:paper-stiff?K=1e+06",
+                           "--scheme", "geco1", "--dt", "0.1", "--steps", "3")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 5
+        assert float(lines[-1].split(",")[2]) >= 0.0
 
     def test_zero_steps_single_row(self, capsys):
         code, out, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
@@ -164,6 +178,24 @@ class TestReproduce:
     def test_unknown_experiment_exits_2(self, capsys):
         code, _, _ = run(capsys, "reproduce", "fig9")
         assert code == 2
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch, tmp_path):
+        failing = experiments.Check("forced", 0.0, 0.0, 1.0, False)
+        monkeypatch.setattr(experiments, "run_experiment", lambda exp_id, outdir: ([], [failing]))
+        code, out, _ = run(capsys, "reproduce", "fig2", "--outdir", str(tmp_path))
+        assert code == EXIT_CHECK_FAILED == 1
+        assert "[FAIL] forced" in out
+
+    @pytest.mark.parametrize("passed,want", [(True, 0), (False, 1)])
+    def test_reproduce_all_script_exit_code(self, capsys, monkeypatch, tmp_path, passed, want):
+        spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE_ALL)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        check = experiments.Check("forced", 0.0, 0.0, 0.0, passed)
+        monkeypatch.setattr(script, "run_experiment", lambda exp_id, outdir: ([], [check]))
+        monkeypatch.setattr(sys, "argv", ["reproduce_all.py", str(tmp_path)])
+        assert script.main() == want
+        capsys.readouterr()
 
 
 class TestOrder:

@@ -51,7 +51,6 @@ def nonlinear_model():
     """f = (y2^2 - y1*y2, y1*y2 - y2^2) with rates d = (y2, y2); mass conserved."""
     return GeneralPds(
         dimension=2,
-        rhs=lambda y: np.array([y[1] ** 2 - y[0] * y[1], y[0] * y[1] - y[1] ** 2]),
         production=lambda y: np.array([y[1] ** 2, y[0] * y[1]]),
         destruction_rate=lambda y: np.array([y[1], y[1]]),
         invariant_rows=np.array([[1.0, 1.0]]),
@@ -62,7 +61,6 @@ def production_only_model():
     """f = (y2, y1) >= 0 on the positive orthant: product-term sets stay empty."""
     return GeneralPds(
         dimension=2,
-        rhs=lambda y: np.array([y[1], y[0]]),
         production=lambda y: np.array([y[1], y[0]]),
         destruction_rate=lambda y: np.zeros(2),
     )
@@ -228,7 +226,6 @@ class TestSingleSteps:
         rate = lambda y: np.array([5.0 * max(y[1] - 1.0, 0.0), 0.0])
         model = GeneralPds(
             dimension=2,
-            rhs=lambda y: np.array([1.0, 1.0]) - rate(y) * y,
             production=lambda y: np.array([1.0, 1.0]),
             destruction_rate=rate,
         )
@@ -274,10 +271,6 @@ class TestSchemeSpec:
     def test_gbbks_requires_strategy(self):
         with pytest.raises(ValueError):
             SchemeSpec("gbbks1")
-
-    def test_positivity_preserving_flag(self):
-        assert make_scheme("geco2").positivity_preserving
-        assert not make_scheme("euler").positivity_preserving
 
 
 class TestIntegrate:

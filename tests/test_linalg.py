@@ -222,19 +222,3 @@ class TestValidateSystem:
         assert rep.zero_algebraic_multiplicity == 2
         assert not rep.multiplicities_match
 
-
-class TestMetzlerDiskCheck:
-    def test_five_by_five(self):
-        # direct check: |lam + 4| <= 4 for all five eigenvalues
-        assert linalg.metzler_disk_check(FIVE)
-
-    def test_two_by_two_boundary(self):
-        # r = -1; |0 + 1| = 1 and |-2 + 1| = 1 sit exactly on the boundary
-        assert linalg.metzler_disk_check(two_by_two(1, 1, 1))
-
-    def test_scalar(self):
-        assert linalg.metzler_disk_check(np.array([[-1.0]]))
-
-    def test_fails_for_spectrum_outside_disk(self):
-        fake = linalg.Spectrum(values=np.array([-9.0 + 0j]), convergence_tol=1e-12)
-        assert not linalg.metzler_disk_check(np.array([[-1.0]]), fake)

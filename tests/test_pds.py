@@ -124,7 +124,6 @@ class TestDestructionRateSum:
     def test_general_model_sums_rates(self):
         model = pds.GeneralPds(
             dimension=2,
-            rhs=lambda y: np.array([y[1] ** 2 - y[0] * y[1], y[0] * y[1] - y[1] ** 2]),
             production=lambda y: np.array([y[1] ** 2, y[0] * y[1]]),
             destruction_rate=lambda y: np.array([y[1], y[1]]),
         )
@@ -132,10 +131,17 @@ class TestDestructionRateSum:
         # rates stay evaluable on the boundary of the positive orthant
         assert pds.destruction_rate_sum(model, np.array([0.0, 2.0])) == 4.0
 
+    def test_general_model_rhs_is_production_minus_destruction(self):
+        model = pds.GeneralPds(
+            dimension=2,
+            production=lambda y: np.array([y[1] ** 2, y[0] * y[1]]),
+            destruction_rate=lambda y: np.array([y[1], y[1]]),
+        )
+        npt.assert_array_equal(model.rhs(np.array([1.0, 2.0])), [2.0, -2.0])
+
     def test_general_model_rejects_negative_rates(self):
         model = pds.GeneralPds(
             dimension=1,
-            rhs=lambda y: -y,
             production=lambda y: np.zeros(1),
             destruction_rate=lambda y: np.array([-1.0]),
         )
@@ -214,6 +220,12 @@ class TestModelFiles:
     def test_error_carries_line_number(self):
         with pytest.raises(ModelError, match="line 4"):
             pds.parse_model("kind linear\ndim 2\nmatrix\n1 bad\n0 0\ny0 1 2")
+
+    def test_exponent_with_plus_sign(self):
+        """The query is not form-decoded: '+' stays part of the number."""
+        doc = pds.resolve_builtin("builtin:paper-stiff?K=1e+06")
+        assert doc.params == {"K": 1e6}
+        assert doc.matrix[0, 0] == -1e6
 
     def test_unknown_builtin_and_bad_params(self):
         with pytest.raises(ModelError):

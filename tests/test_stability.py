@@ -19,7 +19,7 @@ import pytest
 
 from posinv import stability
 from posinv.errors import NumericsError
-from posinv.integrators import make_scheme, phi, step_map
+from posinv.integrators import SCHEME_IDS, make_scheme, phi, step_map
 from posinv.pds import LinearPds, resolve_builtin, steady_state_for
 
 from test_linalg import FIVE, two_by_two
@@ -31,7 +31,6 @@ W_21 = 0.27067056647322538379
 
 MODEL_5X5 = LinearPds.from_matrix(FIVE)
 UNIT_2X2 = LinearPds.from_matrix(two_by_two(1, 1, 1))
-NONSTANDARD = ("geco1", "geco2", "gbbks1", "gbbks2")
 
 
 class TestStabilityValue:
@@ -111,10 +110,10 @@ class TestCertificate:
 
 
 class TestJacobians:
-    @pytest.mark.parametrize("name", NONSTANDARD)
+    @pytest.mark.parametrize("name", SCHEME_IDS)
     @pytest.mark.parametrize("model,y0,dt", [
         (UNIT_2X2, np.array([2.0, 1.0]), 1.0),
-        # probe the 5x5 inside the stable range of all four schemes
+        # probe the 5x5 inside the stable range of all six schemes
         (MODEL_5X5, np.array([0.0, 3.0, 3.0, 3.0, 4.0]), 0.25),
     ])
     def test_finite_difference_matches_closed_form(self, name, model, y0, dt):
@@ -132,7 +131,7 @@ class TestJacobians:
             stability.closed_form_jacobian(UNIT_2X2, "geco1", 1.0), want, rtol=1e-14
         )
 
-    @pytest.mark.parametrize("name", NONSTANDARD + ("euler", "heun"))
+    @pytest.mark.parametrize("name", SCHEME_IDS)
     def test_kernel_vectors_are_eigenvectors(self, name):
         """Jacobian times a kernel vector reproduces it to 1e-10."""
         for model in (UNIT_2X2, MODEL_5X5):
@@ -146,6 +145,23 @@ class TestJacobians:
 
         with pytest.raises(NumericsError):
             stability.numerical_jacobian(broken, np.ones(2))
+
+    @pytest.mark.parametrize("name", SCHEME_IDS)
+    @pytest.mark.parametrize("model", [UNIT_2X2, MODEL_5X5], ids=["2x2", "5x5"])
+    def test_spectrum_is_the_stability_value(self, name, model):
+        """Eigenvalues of the Jacobian are the stability values at dt*lambda.
+
+        Both come from the scheme's damping factors, one through dt*A and one
+        through each eigenvalue of A, so they agree to roundoff (measured
+        worst 9e-15 relative to max(1, |value|)).
+        """
+        lams = np.linalg.eigvals(model.a)
+        for dt in (0.05, 0.25, 1.0, 3.0):
+            got = list(np.linalg.eigvals(stability.closed_form_jacobian(model, name, dt)))
+            for lam in lams:
+                want = stability.stability_value(name, dt * lam, dt * model.trace_s_minus)
+                nearest = got.pop(int(np.argmin([abs(g - want) for g in got])))
+                assert abs(nearest - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestClassifyFixedPoint:
