@@ -407,49 +407,47 @@ class Trajectory:
         return len(self.states)
 
 
-def _invariant_reference(model, y0):
+def _trajectory(model, dt: float, states: list[np.ndarray]) -> Trajectory:
+    """Wrap ``states`` with their invariant defects and minima, computed in one pass."""
+    arr = np.array(states)
     rows = getattr(model, "invariant_rows", None)
     if rows is None or len(rows) == 0:
-        return None, None, 1.0
-    rows = np.asarray(rows, dtype=float)
-    ref = rows @ y0
-    scale = max(float(np.max(np.abs(ref))), 1e-300)
-    return rows, ref, scale
+        defects = [0.0] * len(states)
+    else:
+        rows = np.asarray(rows, dtype=float)
+        # the stacked product gives each state the bits of ``rows @ state``
+        invariants = (rows[None] @ arr[:, :, None])[:, :, 0]
+        ref = invariants[0]
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        defects = (np.max(np.abs(invariants - ref), axis=1) / scale).tolist()
+    return Trajectory(dt, states, defects, np.min(arr, axis=1).tolist())
 
 
 def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Trajectory:
     """Run ``n_steps`` applications of the scheme's step map.
 
+    Invariant defects and minima are computed once, after the last step.
     A failing step raises :class:`IntegrationError` carrying the trajectory
     up to the failure and the underlying cause.
     """
     y0 = np.asarray(y0, dtype=float)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    rows, ref, scale = _invariant_reference(model, y0)
-    traj = Trajectory(
-        dt=dt,
-        states=[y0],
-        invariant_defect=[0.0],
-        min_component=[float(np.min(y0))],
-    )
+    advance = SCHEMES[scheme.id].step
+    states = [y0]
     y = y0
-    for n in range(n_steps):
+    # a non-finite state is rejected by StepOutcome, so hardware overflow
+    # warnings carry no extra information here; the exception is raised
+    # inside the handler, so no local keeps it in a cycle with this frame
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # non-finite states are detected and raised on the following step,
-            # so hardware overflow warnings carry no extra information here
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = step(model, scheme, y, dt).next_state
+            for _ in range(n_steps):
+                y = advance(model, scheme, y, dt).next_state
+                states.append(y)
         except (PosinvError, ValueError) as exc:
             raise IntegrationError(
-                f"step {n + 1} of {scheme.id} failed: {exc}", trajectory=traj, cause=exc
+                f"step {len(states)} of {scheme.id} failed: {exc}",
+                trajectory=_trajectory(model, dt, states),
+                cause=exc,
             ) from exc
-        if rows is None:
-            defect = 0.0
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                defect = float(np.max(np.abs(rows @ y - ref))) / scale
-        traj.states.append(y)
-        traj.invariant_defect.append(defect)
-        traj.min_component.append(float(np.min(y)))
-    return traj
+        return _trajectory(model, dt, states)

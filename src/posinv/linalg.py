@@ -123,19 +123,17 @@ def nullspace(a, rank_tol: float | None = None) -> list[np.ndarray]:
     return basis
 
 
-def expm_apply(a, y0, t: float) -> np.ndarray:
-    """Action of the matrix exponential: exp(t*a) @ y0.
+def expm(a, t: float) -> np.ndarray:
+    """The matrix exponential exp(t*a).
 
     Scaling and squaring with a diagonal Pade core of order 6; the matrix is
-    scaled until ||t*a||_inf / 2^s <= 0.5, which keeps the core accurate to
-    well below 1e-12 at desk-scale norms.
+    scaled until ||t*a||_inf / 2^s <= 0.5.  The core is accurate to roundoff,
+    but each of the s squarings adds its own rounding, so the error grows
+    with s.  Against 40-digit references the action on a start vector is off
+    by up to 7.6e-12 relative to max|y0| on ``paper-5x5`` at t ~ 1800
+    (s = 16), and by 1.6e-10 to 4.5e-10 on ``paper-stiff?K=1e+06``.
     """
     a = _as_square(a)
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (a.shape[0],):
-        raise ValueError(f"state shape {y0.shape} does not match matrix {a.shape}")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("state has non-finite entries")
     if not np.isfinite(t) or t < 0:
         raise ValueError("time must be finite and nonnegative")
 
@@ -161,7 +159,24 @@ def expm_apply(a, y0, t: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             e = e @ e
-        out = e @ y0
+    if not np.all(np.isfinite(e)):
+        raise NumericsError("matrix exponential overflowed")
+    return e
+
+
+def expm_apply(a, y0, t: float) -> np.ndarray:
+    """Action of the matrix exponential: exp(t*a) @ y0.
+
+    Accurate as :func:`expm` is: the error grows with the number of
+    squarings, to 7.6e-12 relative on ``paper-5x5`` at t ~ 1800.
+    """
+    a = _as_square(a)
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (a.shape[0],):
+        raise ValueError(f"state shape {y0.shape} does not match matrix {a.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("state has non-finite entries")
+    out = expm(a, t) @ y0
     if not np.all(np.isfinite(out)):
         raise NumericsError("matrix exponential overflowed")
     return out

@@ -1,0 +1,101 @@
+"""The reference-flow rows of the experiment CSVs.
+
+``experiments.reference_flow`` builds the ``err_ref`` column from one
+propagator per trajectory.  Its rows are compared with exp(n*dt*A) y0
+evaluated by mpmath at 40 decimal digits at rows {0, 1, 7, n/2, n-1, n}.
+The bound is 1e-11*max|y0| (1e-9 on ``K=1e+06``, where the Pade core of
+``linalg.expm`` is itself off by up to 4.5e-10); measured worst values are
+1.2e-15 on the 5x5, 1.7e-13 on ``K=1000`` and 3.5e-10 on ``K=1e+06``.
+"""
+
+import mpmath
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from posinv import experiments, integrate, make_scheme, stability
+from posinv.errors import NumericsError
+from posinv.pds import resolve_builtin
+
+
+def flow_at_40_digits(a, y0, dt, n):
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(a.tolist()) * (mpmath.mpf(dt) * n))
+        return np.array([float(v) for v in e * mpmath.matrix(y0.tolist())])
+
+
+def geco2_near_critical_dt():
+    model = resolve_builtin("builtin:paper-5x5").build()
+    return stability.critical_step(model, make_scheme("geco2")).dt_star * (1.0 - 1e-3)
+
+
+CASES = [
+    ("paper-5x5", 0.1, 5000, 1e-11),
+    ("paper-5x5", "geco2", 5000, 1e-11),
+    ("paper-stiff?K=10", 0.1, 1000, 1e-11),
+    ("paper-stiff?K=100", 0.1, 1000, 1e-11),
+    *(("paper-stiff?K=1000", dt, 500, 1e-11) for dt in (1e-2, 1.0, 1e12)),
+    *(("paper-stiff?K=1e+06", dt, 500, 1e-9) for dt in (1e-2, 1.0, 1e12)),
+]
+
+
+def check_rows(model, y0, dt, n, flow, bound):
+    assert flow.shape == (n + 1, len(y0))
+    scale = float(np.max(np.abs(y0)))
+    for k in sorted({0, 1, 7, n // 2, n - 1, n}):
+        err = float(np.max(np.abs(flow[k] - flow_at_40_digits(model.a, y0, dt, k))))
+        assert err <= bound * scale, f"row {k}: error {err:.3e}"
+
+
+@pytest.mark.parametrize("address,dt,n,bound", CASES)
+def test_reference_rows_match_40_digit_flow(address, dt, n, bound):
+    doc = resolve_builtin(f"builtin:{address}")
+    model = doc.build()
+    if dt == "geco2":
+        dt = geco2_near_critical_dt()
+    flow = experiments.reference_flow(model, doc.y0, dt, n)
+    check_rows(model, doc.y0, dt, n, flow, bound)
+
+
+def test_plain_propagator_when_no_steady_state(monkeypatch):
+    """A model whose steady state cannot be determined still gets its rows."""
+
+    def singular(model, y0):
+        raise NumericsError("singular invariant system")
+
+    monkeypatch.setattr(experiments, "steady_state_for", singular)
+    doc = resolve_builtin("builtin:paper-5x5")
+    model = doc.build()
+    check_rows(model, doc.y0, 0.1, 5000, experiments.reference_flow(model, doc.y0, 0.1, 5000), 1e-11)
+
+    traj = integrate(model, make_scheme("euler"), doc.y0, 0.1, 20)
+    rows = experiments.trajectory_rows(model, traj, doc.y0)
+    assert len(rows) == 21 and rows[0][-1] == 0.0
+
+
+def test_zero_steps_give_the_start_row():
+    doc = resolve_builtin("builtin:paper-5x5")
+    model = doc.build()
+    flow = experiments.reference_flow(model, doc.y0, 0.1, 0)
+    assert flow.shape == (1, 5)
+    npt.assert_array_equal(flow[0], doc.y0)
+
+    traj = integrate(model, make_scheme("geco1"), doc.y0, 0.1, 0)
+    y_star = np.full(5, 2.6)
+    rows = experiments.trajectory_rows(model, traj, doc.y0, y_star)
+    assert rows == [[0, 0.0, *doc.y0.tolist(), 0.0, 0.0, float(np.max(np.abs(doc.y0 - y_star)))]]
+
+
+def test_row_columns_match_per_state_evaluation():
+    """States, defects and the steady-state error are the per-state values, bit for bit."""
+    doc = resolve_builtin("builtin:paper-5x5")
+    model = doc.build()
+    y_star = np.full(5, 2.6)
+    traj = integrate(model, make_scheme("geco2"), doc.y0, 0.3, 40)
+    rows = experiments.trajectory_rows(model, traj, doc.y0, y_star)
+    flow = experiments.reference_flow(model, doc.y0, 0.3, 40)
+    for n, (row, y) in enumerate(zip(rows, traj.states)):
+        assert row[:7] == [n, n * 0.3, *y.tolist()]
+        assert row[7] == traj.invariant_defect[n]
+        assert row[8] == float(np.max(np.abs(y - flow[n])))
+        assert row[9] == float(np.max(np.abs(y - y_star)))

@@ -34,6 +34,7 @@ from posinv import (
     step,
 )
 from posinv.errors import IntegrationError, ModelError
+from posinv.integrators import SCHEME_IDS
 
 from test_linalg import FIVE, two_by_two
 
@@ -273,6 +274,15 @@ class TestSchemeSpec:
             SchemeSpec("gbbks1")
 
 
+def per_state_diagnostics(model, traj):
+    """Invariant defects and minima of ``traj``, evaluated one state at a time."""
+    rows = model.invariant_rows
+    ref = rows @ traj.states[0]
+    scale = float(np.max(np.abs(ref)))
+    defects = [float(np.max(np.abs(rows @ y - ref))) / scale for y in traj.states]
+    return defects, [float(np.min(y)) for y in traj.states]
+
+
 class TestIntegrate:
     def test_zero_steps(self):
         traj = integrate(UNIT_2X2, make_scheme("geco1"), Y21, 1.0, 0)
@@ -312,9 +322,34 @@ class TestIntegrate:
         assert len(err.value.trajectory) == 1
         assert isinstance(err.value.cause, ModelError)
 
+    @pytest.mark.parametrize("name", SCHEME_IDS)
+    def test_diagnostics_match_per_state_evaluation(self, name):
+        """Defects and minima computed after the loop equal the per-state values, bit for bit."""
+        y0 = np.array([0.0, 3, 3, 3, 4.0])
+        traj = integrate(MODEL_5X5, make_scheme(name), y0, 0.2, 300)
+        assert (traj.invariant_defect, traj.min_component) == per_state_diagnostics(MODEL_5X5, traj)
+
+    def test_mid_run_failure_keeps_diagnostics(self):
+        """gbbks2 on the K=1000 stiff chain at dt=1e3 stops at step 29 (a known defect)."""
+        doc = posinv.load_model("builtin:paper-stiff?K=1000")
+        model = doc.build()
+        with pytest.raises(IntegrationError, match=r"^step 29 of gbbks2 failed") as err:
+            integrate(model, make_scheme("gbbks2"), doc.y0, 1e3, 500)
+        traj = err.value.trajectory
+        assert isinstance(err.value.cause, ModelError)
+        assert len(traj.states) == len(traj.invariant_defect) == len(traj.min_component) == 29
+        assert (traj.invariant_defect, traj.min_component) == per_state_diagnostics(model, traj)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             integrate(UNIT_2X2, make_scheme("euler"), Y21, 1.0, -1)
+        with pytest.raises(TypeError):
+            integrate(UNIT_2X2, make_scheme("euler"), Y21, 1.0, 2.5)
+        for y0, dt in (([np.nan, 1.0], 1.0), (Y21, 0.0), (Y21, np.inf)):
+            with pytest.raises(IntegrationError, match="^step 1 of euler failed") as err:
+                integrate(UNIT_2X2, make_scheme("euler"), y0, dt, 3)
+            assert isinstance(err.value.cause, ValueError)
+            assert len(err.value.trajectory) == 1
         with pytest.raises(ValueError):
             posinv.euler_step(UNIT_2X2, Y21, 0.0)
 
