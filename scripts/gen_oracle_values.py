@@ -5,7 +5,8 @@ All single-step expected values are produced here by evaluating the scheme
 formulas directly at 40 decimal digits (mpmath), independently of the
 package implementation; kernel vectors come from exact rational elimination.
 The stiff crossing times iterate the discrete geco1 map at the same precision.
-Run and compare against the constants embedded in tests/.
+Run and compare against the constants embedded in tests/.  The test suite
+also imports ``product_term_root`` from here as the oracle of ``solve_tau``.
 
 Usage: python scripts/gen_oracle_values.py
 """
@@ -13,8 +14,6 @@ Usage: python scripts/gen_oracle_values.py
 from fractions import Fraction
 
 import mpmath as mp
-
-mp.mp.dps = 40
 
 FIVE = [
     [-4, 2, 1, 2, 2],
@@ -88,6 +87,36 @@ def geco1_stiff_crossing(K, dt):
         y = nxt
 
 
+def product_term_root(c, d, sigma, r, dps=50):
+    """Root of (prod_m (c_m + d_m*tau) / sigma_m)^r - tau in (0, tau_max), at ``dps`` digits.
+
+    The inputs are taken exactly as the binary floats they are.  The root is
+    found inside [0, tau_max], tau_max = min_m c_m / (-d_m), where the
+    residual changes sign, and certified by a sign change across
+    root * (1 -+ 10^(10 - dps)).
+    """
+    with mp.workdps(dps):
+        c, d, sigma = ([mp.mpf(float(v)) for v in vals] for vals in (c, d, sigma))
+        r = mp.mpf(float(r))
+
+        def residual(tau):
+            # continued by -tau past tau_max, where a factor turns negative
+            prod = mp.mpf(1)
+            for cm, dm, sm in zip(c, d, sigma):
+                prod *= max(cm + dm * tau, 0) / sm
+            return prod**r - tau
+
+        tau_max = min(cm / -dm for cm, dm in zip(c, d))
+        # findroot's own residual test is off: it misjudges a root where the
+        # residual is steep; the sign change below certifies it instead
+        root = mp.findroot(residual, (mp.mpf(0), tau_max), solver="illinois",
+                           maxsteps=200, verify=False)
+        width = mp.mpf(10) ** (10 - dps)
+        if not residual(root * (1 - width)) > 0 > residual(root * (1 + width)):
+            raise ValueError(f"product-term root not bracketed to {width} relative")
+        return root
+
+
 def show(name, value, digits=22):
     if isinstance(value, (list, tuple)):
         body = ", ".join(mp.nstr(x, digits) for x in value)
@@ -97,6 +126,7 @@ def show(name, value, digits=22):
 
 
 def main() -> int:
+    mp.mp.dps = 40
     # unit-parameter 2x2: A = [[-1, 1], [1, -1]], y = (2, 1), dt = 1
     y = [mp.mpf(2), mp.mpf(1)]
     ay = [-y[0] + y[1], y[0] - y[1]]

@@ -79,18 +79,29 @@ def phi(x: float) -> float:
 
 
 def solve_tau(c, d, sigma, r: float) -> float:
-    """Unique root of (prod_m (c_m + d_m*tau) / sigma_m)^r - tau = 0.
+    """Unique root of G(tau) = (prod_m (c_m + d_m*tau) / sigma_m)^r - tau.
 
     Requires c_m > 0, d_m < 0, sigma_m > 0 and r > 0; the root lies in
-    (0, tau_max) with tau_max = min_m c_m / (-d_m), where the left end gives
-    a positive residual and the right end a negative one.  Bisection only:
-    guaranteed bracket, interval tolerance 1e-15 * tau_max, residual
-    tolerance 1e-14, at most 200 iterations.  An empty index set returns 1
-    (empty product convention used by the callers).
+    (0, tau_max) with tau_max = min_m c_m / (-d_m), where G(0) > 0 and
+    G(tau_max) < 0.
+
+    Safeguarded Newton from tau = 0, whose first iterate is the linearised
+    root p0 / (1 + r*p0*sum(-d/c)) with p0 = G(0), inside the bracket
+    [lo, hi] = [0, tau_max].  A bisection step replaces a Newton step that
+    leaves the bracket or is not below half the previous move, and follows a
+    point where some factor c_m + d_m*tau is not positive in floating point.
+    For r >= 1, G is convex and the Newton iterates climb to the root from
+    the left.  Iteration stops when the Newton step is within one ulp of tau;
+    if the residual at the new iterate exceeds 1e-14 its ulp neighbours are
+    tried.  The returned tau makes every float c_m + d_m*tau (the update the
+    schemes form) strictly positive: when the converged point does not, or
+    the bracket closes to neighbouring floats, the last point with G > 0 is
+    returned.  At most 200 iterations.  An empty index set returns 1 (empty
+    product convention used by the callers).
     """
-    c = tuple(float(v) for v in np.atleast_1d(np.asarray(c, dtype=float)))
-    d = tuple(float(v) for v in np.atleast_1d(np.asarray(d, dtype=float)))
-    sigma = tuple(float(v) for v in np.atleast_1d(np.asarray(sigma, dtype=float)))
+    c = np.atleast_1d(np.asarray(c, dtype=float)).tolist()
+    d = np.atleast_1d(np.asarray(d, dtype=float)).tolist()
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float)).tolist()
     if len(c) == 0:
         return 1.0
     if not (len(c) == len(d) == len(sigma)):
@@ -98,65 +109,65 @@ def solve_tau(c, d, sigma, r: float) -> float:
     if min(c) <= 0.0 or max(d) >= 0.0 or min(sigma) <= 0.0 or not r > 0.0:
         raise ValueError("need c > 0, d < 0, sigma > 0, r > 0")
     r = float(r)
+    factors = tuple(zip(c, d, sigma))
 
-    tau_max = min(ci / -di for ci, di in zip(c, d))
-
-    def residual(tau: float) -> float:
+    def evaluate(tau: float):
+        """(G(tau), G'(tau)), or None at a nonpositive factor."""
         prod = 1.0
-        for ci, di, si in zip(c, d, sigma):
-            factor = (ci + di * tau) / si
-            if factor <= 0.0:
-                # past the first zero of the product; the true residual is negative
-                return -tau
-            prod *= factor
-        return prod**r - tau
+        slope_sum = 0.0
+        for ci, di, si in factors:
+            num = ci + di * tau
+            if num <= 0.0:
+                return None
+            prod *= num / si
+            slope_sum += di / num
+        p = prod**r
+        return p - tau, p * r * slope_sum - 1.0
 
-    def polish(tau: float, lo: float, hi: float) -> float:
-        # Newton refinement of the bisection answer; any step leaving the
-        # bracket falls back to the bracketed value
-        for _ in range(3):
-            prod = 1.0
-            slope_sum = 0.0
-            bad = False
-            for ci, di, si in zip(c, d, sigma):
-                num = ci + di * tau
-                if num <= 0.0:
-                    bad = True
-                    break
-                prod *= num / si
-                slope_sum += di / num
-            if bad:
-                break
-            p = prod**r
-            slope = p * r * slope_sum - 1.0
-            candidate = tau - (p - tau) / slope
-            if not lo < candidate < hi:
-                break
-            tau = candidate
-        return tau
-
-    lo, hi = 0.0, tau_max
+    lo, hi = 0.0, min(ci / -di for ci, di, _ in factors)
+    tau, move = 0.0, math.inf
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = residual(mid)
-        if g == 0.0:
-            return mid
-        if g > 0.0:
-            lo = mid
+        point = evaluate(tau)
+        if point is None:
+            hi = tau
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * tau_max:
-            return polish(0.5 * (lo + hi), lo, hi)
-    # the interval criterion is reachable in ~50 sweeps; accept a residual-level
-    # answer at the cap only if it meets the residual tolerance
-    mid = polish(0.5 * (lo + hi), lo, hi)
-    if abs(residual(mid)) <= 1e-14:
-        return mid
-    raise SolverError(
-        "product-term solve did not reach tolerance in 200 iterations",
-        bracket=(lo, hi),
-        residual=residual(mid),
-    )
+            g, slope = point
+            if g == 0.0:
+                # at tau = 0 only when G(0) underflowed: the root is then
+                # below the smallest positive float
+                return max(tau, math.ulp(0.0))
+            if g > 0.0:
+                lo = tau
+            else:
+                hi = tau
+            step = -g / slope
+            if abs(step) <= math.ulp(tau):
+                break
+            if lo < tau + step < hi and abs(step) < 0.5 * move:
+                tau, move = tau + step, abs(step)
+                continue
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # the float root lies between neighbouring floats
+            return lo
+        tau, move = mid, abs(mid - tau)
+    else:
+        raise SolverError(
+            "product-term solve did not reach tolerance in 200 iterations",
+            bracket=(lo, hi),
+            residual=g,
+        )
+    tau += step
+    point = evaluate(tau)
+    if point is None:
+        return lo
+    g = point[0]
+    if abs(g) > 1e-14:
+        for near in (math.nextafter(tau, 0.0), math.nextafter(tau, math.inf)):
+            point = evaluate(near)
+            if point is not None and abs(point[0]) < abs(g):
+                tau, g = near, point[0]
+    return tau
 
 
 @dataclass(frozen=True)
@@ -247,7 +258,7 @@ class StepOutcome:
     phi_args: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.next_state)):
+        if not np.isfinite(self.next_state).all():
             raise NumericsError("scheme produced a non-finite state")
         if not self.tau > 0.0:
             raise NumericsError(f"product-term factor must be positive, got {self.tau}")
@@ -257,7 +268,7 @@ def _rhs(model, y: np.ndarray) -> np.ndarray:
     if isinstance(model, LinearPds):
         return model.a @ y
     f = np.asarray(model.rhs(y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ModelError("right-hand side returned non-finite values")
     return f
 
@@ -266,7 +277,7 @@ def _check_step(y, dt: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"step size must be positive and finite, got {dt}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("state has non-finite entries")
     return y
 
@@ -315,7 +326,7 @@ def geco2_step(model, y, dt: float) -> StepOutcome:
 
     w_plus = np.maximum(w, 0.0)
     active = w_plus > 0.0
-    degenerate = bool(np.any(active & (y == 0.0)))
+    degenerate = bool((active & (y == 0.0)).any())
     if degenerate:
         arg = math.inf
     else:
@@ -330,13 +341,13 @@ def geco2_step(model, y, dt: float) -> StepOutcome:
 def _active_solve(y, slope, sigma_full, r: float, label: str) -> float:
     """Solve the product-term equation over the active set {m : slope_m < 0}."""
     active = slope < 0.0
-    if not np.any(active):
+    if not active.any():
         return 1.0
     sigma = np.asarray(sigma_full, dtype=float)[active]
-    if np.any(sigma <= 0.0) or np.any(~np.isfinite(sigma)):
+    if (sigma <= 0.0).any() or not np.isfinite(sigma).all():
         raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
     c = y[active]
-    if np.any(c <= 0.0):
+    if (c <= 0.0).any():
         raise ModelError(f"{label}: state component in the active set is not positive")
     if not r > 0.0:
         raise ModelError(f"{label}: strategy exponent must be positive")

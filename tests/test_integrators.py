@@ -13,7 +13,11 @@ For the unit-parameter 2x2 model with y = (2, 1), dt = 1:
     Euler                 (1, 2); Heun: identity (A + A^2/2 = 0 at dt = 1)
 """
 
+import dataclasses
+import importlib.util
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +41,12 @@ from posinv.errors import IntegrationError, ModelError
 from posinv.integrators import SCHEME_IDS
 
 from test_linalg import FIVE, two_by_two
+
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "gen_oracle_values", Path(__file__).resolve().parent.parent / "scripts" / "gen_oracle_values.py"
+)
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
 
 PHI_2 = 0.43233235838169365405
 PHI_LN2 = 0.72134752044448170368
@@ -65,6 +75,35 @@ def production_only_model():
         production=lambda y: np.array([y[1], y[0]]),
         destruction_rate=lambda y: np.zeros(2),
     )
+
+
+def desk_tau_inputs():
+    """400 seeded product-term problems with 1 to 4 factors of order one."""
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        m = rng.integers(1, 5)
+        c = rng.uniform(0.3, 3.0, m)
+        d = -rng.uniform(0.5, 4.0, m)
+        s = rng.uniform(0.3, 3.0, m)
+        r = rng.uniform(0.4, 2.5)
+        yield c, d, s, r
+
+
+def stiff_tau_inputs():
+    """100 seeded stiff problems: 7 to 10 factors, tau_max = 1e-12, two subnormal c.
+
+    Rates -d/c span 12 decades and c spans 300; the subnormal components
+    keep at least 2e15 ulps, so one rounding of c + d*tau moves tau by less
+    than 1e-15 relative.
+    """
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        m = rng.integers(7, 11)
+        c = 10.0 ** rng.uniform(-300.0, 0.0, m)
+        c[:2] = rng.uniform(1e-308, 2.2e-308, 2)
+        rate = 10.0 ** rng.uniform(0.0, 12.0, m)
+        rate[rng.integers(m)] = 1e12
+        yield c, -c * rate, c * 10.0 ** rng.uniform(-1.0, 1.0, m), rng.uniform(0.4, 2.5)
 
 
 class TestPhi:
@@ -114,13 +153,7 @@ class TestSolveTau:
 
     def test_residual_and_positivity_invariants(self):
         """|G(tau)| <= 1e-14 and c + d*tau > 0 on desk-scale inputs."""
-        rng = np.random.default_rng(3)
-        for _ in range(400):
-            m = rng.integers(1, 5)
-            c = rng.uniform(0.3, 3.0, m)
-            d = -rng.uniform(0.5, 4.0, m)
-            s = rng.uniform(0.3, 3.0, m)
-            r = rng.uniform(0.4, 2.5)
+        for c, d, s, r in desk_tau_inputs():
             tau = solve_tau(c, d, s, r)
             assert np.all(c + d * tau > 0.0)
             residual = np.prod((c + d * tau) / s) ** r - tau
@@ -133,6 +166,40 @@ class TestSolveTau:
     def test_root_in_open_bracket(self, c, d_mag, s, r):
         tau = solve_tau([c], [-d_mag], [s], r)
         assert 0.0 < tau < c / d_mag
+
+    @pytest.mark.parametrize("inputs", [desk_tau_inputs, stiff_tau_inputs])
+    def test_matches_independent_oracle(self, inputs):
+        """Within 1e-14 relative of a 50-digit root of G; every factor stays positive.
+
+        On the stiff set some roots lie within rounding of tau_max (and some
+        above its float value), so the float tau_max itself may be returned.
+        """
+        for c, d, s, r in inputs():
+            tau = solve_tau(c, d, s, r)
+            assert (c + d * tau > 0.0).all()
+            assert 0.0 < tau <= np.min(c / -d)
+            root = oracle.product_term_root(c, d, s, r)
+            assert abs(tau - root) <= 1e-14 * root
+
+    def test_underflowed_product_gives_smallest_positive_tau(self):
+        """G(0) = (1e-200)^2 rounds to 0.0; the root is below every positive float."""
+        assert solve_tau([1e-200, 1e-200], [-1.0, -1.0], [1.0, 1.0], 1.0) == math.ulp(0.0)
+
+    def test_one_ulp_component_stays_positive(self):
+        """A factor that rounds to 0 at the root bounds tau by the last positive float.
+
+        With c = sigma = 2^-1074 and d = -1000 * 2^-1074 the root is 1/1001,
+        where c + d*tau rounds to 0.0 (its exact value, 2^-1074/1001, is below
+        the smallest subnormal).  The solver returns the largest tau whose
+        factor is still the positive 2^-1074.
+        """
+        c, d, s = np.array([5e-324]), np.array([-4.94e-321]), np.array([5e-324])
+        tau = solve_tau(c, d, s, 1.0)
+        root = oracle.product_term_root(c, d, s, 1.0)
+        assert float(root) == pytest.approx(1.0 / 1001.0, rel=1e-15)
+        assert 0.0 < tau < root
+        assert (c + d * tau > 0.0).all()
+        assert (c + d * math.nextafter(tau, math.inf) == 0.0).all()
 
 
 class TestSingleSteps:
@@ -330,15 +397,34 @@ class TestIntegrate:
         assert (traj.invariant_defect, traj.min_component) == per_state_diagnostics(MODEL_5X5, traj)
 
     def test_mid_run_failure_keeps_diagnostics(self):
-        """gbbks2 on the K=1000 stiff chain at dt=1e3 stops at step 29 (a known defect)."""
+        """A strategy whose sigma turns to zeros at its 29th call stops gbbks2 at step 29."""
         doc = posinv.load_model("builtin:paper-stiff?K=1000")
         model = doc.build()
+        preset = GbbksStrategy.bbks2(1.0)
+        calls = itertools.count(1)
+
+        def sigma(y, y2):
+            out = preset.sigma(y, y2)
+            return out if next(calls) < 29 else np.zeros_like(out)
+
+        scheme = SchemeSpec("gbbks2", alpha=1.0, strategy=dataclasses.replace(preset, sigma=sigma))
         with pytest.raises(IntegrationError, match=r"^step 29 of gbbks2 failed") as err:
-            integrate(model, make_scheme("gbbks2"), doc.y0, 1e3, 500)
+            integrate(model, scheme, doc.y0, 1e3, 500)
         traj = err.value.trajectory
         assert isinstance(err.value.cause, ModelError)
         assert len(traj.states) == len(traj.invariant_defect) == len(traj.min_component) == 29
         assert (traj.invariant_defect, traj.min_component) == per_state_diagnostics(model, traj)
+
+    @pytest.mark.parametrize("name", ["gbbks1", "gbbks2"])
+    @pytest.mark.parametrize("k", ["1000", "1e+06"])
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3, 1e12])
+    def test_stiff_runs_stay_strictly_positive(self, name, k, dt):
+        """Every component of every state is > 0.0 in floating point, for 1000 steps."""
+        doc = posinv.load_model(f"builtin:paper-stiff?K={k}")
+        traj = integrate(doc.build(), make_scheme(name), doc.y0, dt, 1000)
+        assert len(traj) == 1001
+        assert (np.array(traj.states) > 0.0).all()
+        assert max(traj.invariant_defect) <= 1e-12
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
