@@ -24,7 +24,7 @@ import numpy as np
 
 from . import experiments, stability
 from .errors import ModelError, NumericsError, PosinvError
-from .integrators import SCHEME_IDS, SchemeSpec, integrate, make_scheme
+from .integrators import SCHEME_IDS, integrate, make_scheme
 from .pds import LinearPds, load_model, steady_state_for
 
 EXIT_OK = 0
@@ -45,28 +45,17 @@ def _resolve_model(address: str, seed: int) -> tuple[LinearPds, np.ndarray, str]
     return doc.build(), doc.y0, doc.builtin or "file"
 
 
-def _make_scheme(args) -> SchemeSpec:
-    alpha = getattr(args, "alpha", None)
-    if args.scheme != "gbbks2" and alpha is not None:
-        raise ModelError(f"--alpha applies to gbbks2 only, not {args.scheme}")
-    try:
-        return make_scheme(args.scheme, alpha)
-    except ValueError as exc:
-        raise ModelError(str(exc)) from exc
-
-
 def _emit(path: str | None, header, rows) -> None:
     if path is None:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(experiments.format_cell(v) for v in row) + "\n")
+        experiments.write_rows(sys.stdout, header, rows)
     else:
         experiments.write_csv(path, header, rows)
 
 
 def cmd_integrate(args) -> int:
     model, y0, _ = _resolve_model(args.model, args.seed)
-    traj = integrate(model, _make_scheme(args), y0, dt=args.dt, n_steps=args.steps)
+    scheme = make_scheme(args.scheme, args.alpha)
+    traj = integrate(model, scheme, y0, dt=args.dt, n_steps=args.steps)
     header = experiments.state_header(model.dimension, False)[:-1] + ["err"]
     _emit(args.out, header, experiments.trajectory_rows(model, traj, y0))
     return EXIT_OK
@@ -74,7 +63,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_stability(args) -> int:
     model, y0, _ = _resolve_model(args.model, args.seed)
-    scheme = _make_scheme(args)
+    scheme = make_scheme(args.scheme, args.alpha)
     crit = stability.critical_step(model, scheme)
     if crit.unconditional:
         print("critical dt: unconditional")
@@ -115,7 +104,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_order(args) -> int:
     model, y0, _ = _resolve_model(args.model, args.seed)
-    scheme = _make_scheme(args)
+    scheme = make_scheme(args.scheme, args.alpha)
     if args.levels < 1:
         raise ModelError("--levels must be >= 1")
     dts = [args.dt0 * 2.0**-k for k in range(args.levels)]

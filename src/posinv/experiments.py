@@ -41,22 +41,23 @@ ORDER_SCHEMES = ("geco1", "geco2", "gbbks1", "gbbks2")
 ORDER_LEVELS = tuple(2.0 ** -k for k in range(3, 11))
 
 
-def format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def write_rows(handle, header: list[str], rows) -> None:
+    """Write a header line and one line per row to an open text handle.
+
+    Comma-delimited and LF-terminated; numbers print as ``%.17g`` (integers
+    exactly, floats to 17 significant digits), strings verbatim.
+    """
+    handle.write(",".join(header) + "\n")
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError("row width does not match header")
+        handle.write(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Comma-delimited, LF-terminated, 17-significant-digit decimals."""
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write the table to ``path`` in the form of :func:`write_rows`."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError("row width does not match header")
-            handle.write(",".join(format_cell(v) for v in row) + "\n")
+        write_rows(handle, header, rows)
 
 
 @dataclass
@@ -116,20 +117,19 @@ def reference_flow(model, start, dt: float, n_steps: int) -> np.ndarray:
     return flow
 
 
-def trajectory_rows(model, traj, start, y_star=None):
-    """CSV rows: step, t, state, invariant defect, errors vs flow and steady state.
+def trajectory_rows(model, traj, start, y_star=None) -> np.ndarray:
+    """CSV table: step, t, state, invariant defect, errors vs flow and steady state.
 
-    The flow comes from :func:`reference_flow` started at ``start``.
+    One row per state.  The flow comes from :func:`reference_flow` started at
+    ``start``.
     """
-    states = np.array(traj.states)
+    states = traj.states
     flow = reference_flow(model, start, traj.dt, len(states) - 1)
-    columns = [traj.invariant_defect, np.max(np.abs(states - flow), axis=1).tolist()]
+    columns = [np.arange(len(states)), traj.times, states, traj.invariant_defect,
+               np.max(np.abs(states - flow), axis=1)]
     if y_star is not None:
-        columns.append(np.max(np.abs(states - y_star), axis=1).tolist())
-    return [
-        [n, t, *y, *tail]
-        for n, (t, y, *tail) in enumerate(zip(traj.times, states.tolist(), *columns))
-    ]
+        columns.append(np.max(np.abs(states - y_star), axis=1))
+    return np.column_stack(columns)
 
 
 def state_header(dim: int, with_steady: bool) -> list[str]:
@@ -150,16 +150,12 @@ def run_fig2(outdir: str) -> tuple[list[str], list[Check]]:
     write_csv(path, state_header(5, True), rows)
 
     final_err = float(np.max(np.abs(traj.final - y_star)))
+    defect = float(traj.invariant_defect.max())
+    lowest = float(traj.min_component.min())
     checks = [
         Check("final_error_to_steady_state", 0.0, 1e-10, final_err, final_err < 1e-10),
-        Check(
-            "max_invariant_defect", 0.0, 1e-12,
-            max(traj.invariant_defect), max(traj.invariant_defect) <= 1e-12,
-        ),
-        Check(
-            "min_component_nonnegative", 0.0, 0.0,
-            min(traj.min_component), min(traj.min_component) >= 0.0,
-        ),
+        Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12),
+        Check("min_component_nonnegative", 0.0, 0.0, lowest, lowest >= 0.0),
     ]
     return [path, _summary(outdir, "fig2", checks)], checks
 
@@ -198,17 +194,13 @@ def run_bifurcation(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
         steps = DIVERGENT_STEPS
 
     traj = integrate(model, scheme, start, dt=dt, n_steps=steps)
-    errors = np.max(np.abs(np.array(traj.states) - y_star), axis=1)
     rows = trajectory_rows(model, traj, start, y_star)
+    errors = rows[:, -1]
     path = os.path.join(outdir, f"{exp_id}.csv")
     write_csv(path, state_header(5, True), rows)
 
-    checks = [
-        Check(
-            "max_invariant_defect", 0.0, 1e-12,
-            max(traj.invariant_defect), max(traj.invariant_defect) <= 1e-12,
-        ),
-    ]
+    defect = float(traj.invariant_defect.max())
+    checks = [Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12)]
     if variant == "convergent":
         ratio = errors[-1] / errors[0]
         checks.append(Check("error_contracted", 0.0, 1e-2, ratio, ratio < 1e-2))
@@ -286,8 +278,7 @@ def run_fig6(outdir: str) -> tuple[list[str], list[Check]]:
         write_csv(path, state_header(3, False), rows)
         files.append(path)
 
-        states = np.array(traj.states)
-        t_cross = crossing_time(np.array(traj.times), states[:, 1] - states[:, 2], skip_before=0.1)
+        t_cross = crossing_time(traj.times, traj.states[:, 1] - traj.states[:, 2], skip_before=0.1)
         crossings[f"K{K:g}"] = t_cross
         expected = geco1_stiff_crossing(K, 0.1, doc.y0, 1000)
         tolerance = 1e-12 * expected

@@ -185,7 +185,6 @@ class GbbksStrategy:
     r: Callable[[np.ndarray], float]
     pi: Callable[[np.ndarray], np.ndarray]
     q: Callable[[np.ndarray], float]
-    name: str = "custom"
 
     @classmethod
     def bbks1(cls) -> "GbbksStrategy":
@@ -195,7 +194,6 @@ class GbbksStrategy:
             r=lambda y: 1.0,
             pi=lambda y: y,
             q=lambda y: 1.0,
-            name="bbks1",
         )
 
     @classmethod
@@ -209,7 +207,6 @@ class GbbksStrategy:
             r=lambda y: 1.0,
             pi=lambda y: y,
             q=lambda y: 1.0,
-            name=f"bbks2({alpha:g})",
         )
 
 
@@ -318,11 +315,14 @@ def geco2_step(model, y, dt: float) -> StepOutcome:
     ``phi_args['degenerate']``).
     """
     y = _check_step(y, dt)
-    inner = geco1_step(model, y, dt)
-    y2 = inner.next_state
+    inner_arg = dt * destruction_rate_sum(model, y)
+    inner_phi = phi(inner_arg)
     f1 = _rhs(model, y)
+    y2 = y + (dt * inner_phi) * f1
+    if not np.isfinite(y2).all():
+        raise NumericsError("scheme produced a non-finite state")
     f2 = _rhs(model, y2)
-    w = 2.0 * phi(inner.phi_args["arg"]) * f1 - f1 - f2
+    w = 2.0 * inner_phi * f1 - f1 - f2
 
     w_plus = np.maximum(w, 0.0)
     active = w_plus > 0.0
@@ -334,7 +334,7 @@ def geco2_step(model, y, dt: float) -> StepOutcome:
     nxt = y + 0.5 * dt * phi(arg) * (f1 + f2)
     return StepOutcome(
         nxt,
-        phi_args={"arg": arg, "inner_arg": inner.phi_args["arg"], "degenerate": degenerate},
+        phi_args={"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate},
     )
 
 
@@ -396,19 +396,20 @@ def step_map(model, scheme: SchemeSpec, dt: float) -> Callable[[np.ndarray], np.
 class Trajectory:
     """Ordered iterates with per-step conservation and positivity diagnostics.
 
-    ``invariant_defect[n]`` is the largest relative drift of any linear
-    invariant between state n and the initial state; ``min_component[n]`` is
-    the smallest entry of state n.  Time of state n is n * dt.
+    ``states`` is the (n+1, N) array of iterates.  ``invariant_defect[n]`` is
+    the largest relative drift of any linear invariant between state n and the
+    initial state; ``min_component[n]`` is the smallest entry of state n.
+    Time of state n is n * dt.
     """
 
     dt: float
-    states: list[np.ndarray]
-    invariant_defect: list[float]
-    min_component: list[float]
+    states: np.ndarray
+    invariant_defect: np.ndarray
+    min_component: np.ndarray
 
     @property
-    def times(self) -> list[float]:
-        return [n * self.dt for n in range(len(self.states))]
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states)) * self.dt
 
     @property
     def final(self) -> np.ndarray:
@@ -419,19 +420,19 @@ class Trajectory:
 
 
 def _trajectory(model, dt: float, states: list[np.ndarray]) -> Trajectory:
-    """Wrap ``states`` with their invariant defects and minima, computed in one pass."""
+    """Stack ``states`` with their invariant defects and minima, computed in one pass."""
     arr = np.array(states)
     rows = getattr(model, "invariant_rows", None)
     if rows is None or len(rows) == 0:
-        defects = [0.0] * len(states)
+        defects = np.zeros(len(arr))
     else:
         rows = np.asarray(rows, dtype=float)
         # the stacked product gives each state the bits of ``rows @ state``
         invariants = (rows[None] @ arr[:, :, None])[:, :, 0]
         ref = invariants[0]
         scale = max(float(np.max(np.abs(ref))), 1e-300)
-        defects = (np.max(np.abs(invariants - ref), axis=1) / scale).tolist()
-    return Trajectory(dt, states, defects, np.min(arr, axis=1).tolist())
+        defects = np.max(np.abs(invariants - ref), axis=1) / scale
+    return Trajectory(dt, arr, defects, np.min(arr, axis=1))
 
 
 def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Trajectory:

@@ -201,12 +201,12 @@ class StabilityReport:
     verdict: str  # stable | unstable | inconclusive
 
 
-def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float,
-                         cross_check: bool = True) -> StabilityReport:
+def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float) -> StabilityReport:
     """Classify a positive steady state of the model as a fixed point.
 
-    The Jacobian comes from the closed form and, unless disabled, is
-    cross-checked against a finite-difference probe of the actual step map.
+    The Jacobian comes from the closed form and is cross-checked against a
+    finite-difference probe of the actual step map; a disagreement raises
+    :class:`NumericsError`.
     Eigenvalues within ``KERNEL_WINDOW`` of 1 are counted against the kernel
     dimension; a count mismatch or a non-kernel eigenvalue hugging the unit
     circle yields the verdict ``inconclusive`` rather than a guess.
@@ -220,14 +220,13 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float,
         raise ValueError("y_star is not a steady state of the model")
 
     jac = closed_form_jacobian(model, scheme, dt)
-    if cross_check:
-        spec_obj = scheme if isinstance(scheme, SchemeSpec) else make_scheme(scheme)
-        fd = numerical_jacobian(step_map(model, spec_obj, dt), y_star, h=1e-6)
-        gap = float(np.max(np.abs(fd - jac)))
-        if gap > 1e-3 * max(1.0, float(np.max(np.abs(jac)))):
-            raise NumericsError(
-                f"closed-form and finite-difference Jacobians disagree by {gap:.3e}"
-            )
+    spec_obj = scheme if isinstance(scheme, SchemeSpec) else make_scheme(scheme)
+    fd = numerical_jacobian(step_map(model, spec_obj, dt), y_star, h=1e-6)
+    gap = float(np.max(np.abs(fd - jac)))
+    if gap > 1e-3 * max(1.0, float(np.max(np.abs(jac)))):
+        raise NumericsError(
+            f"closed-form and finite-difference Jacobians disagree by {gap:.3e}"
+        )
 
     spec = linalg.eigenvalues(jac)
     near_one = np.abs(spec.values - 1.0) <= KERNEL_WINDOW

@@ -224,3 +224,17 @@ class TestOrder:
                          "--scheme", "geco1", "--tmax", "1", "--dt0", "0.3",
                          "--levels", "2")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    GECO1_RUN,
+    ["order", "--model", "builtin:paper-2x2", "--scheme", "gbbks2", "--tmax", "1",
+     "--dt0", "0.125", "--levels", "5"],
+])
+def test_stdout_matches_out_file(capsys, tmp_path, argv):
+    """Printing a table and writing it with --out give the same bytes."""
+    path = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert main([*argv, "--out", str(path)]) == 0
+    assert out.encode("utf-8") == path.read_bytes()

@@ -1,4 +1,4 @@
-"""The reference-flow rows of the experiment CSVs.
+"""The reference-flow rows of the experiment CSVs, and the CSV cell rule.
 
 ``experiments.reference_flow`` builds the ``err_ref`` column from one
 propagator per trajectory.  Its rows are compared with exp(n*dt*A) y0
@@ -83,7 +83,8 @@ def test_zero_steps_give_the_start_row():
     traj = integrate(model, make_scheme("geco1"), doc.y0, 0.1, 0)
     y_star = np.full(5, 2.6)
     rows = experiments.trajectory_rows(model, traj, doc.y0, y_star)
-    assert rows == [[0, 0.0, *doc.y0.tolist(), 0.0, 0.0, float(np.max(np.abs(doc.y0 - y_star)))]]
+    start_row = [0, 0.0, *doc.y0.tolist(), 0.0, 0.0, float(np.max(np.abs(doc.y0 - y_star)))]
+    assert rows.tolist() == [start_row]
 
 
 def test_row_columns_match_per_state_evaluation():
@@ -95,7 +96,24 @@ def test_row_columns_match_per_state_evaluation():
     rows = experiments.trajectory_rows(model, traj, doc.y0, y_star)
     flow = experiments.reference_flow(model, doc.y0, 0.3, 40)
     for n, (row, y) in enumerate(zip(rows, traj.states)):
-        assert row[:7] == [n, n * 0.3, *y.tolist()]
+        assert row[:7].tolist() == [n, n * 0.3, *y.tolist()]
         assert row[7] == traj.invariant_defect[n]
         assert row[8] == float(np.max(np.abs(y - flow[n])))
         assert row[9] == float(np.max(np.abs(y - y_star)))
+
+
+def test_csv_cells_are_17g_numbers_and_verbatim_strings(tmp_path):
+    """Array and list rows share one rule: integers exact, floats 17 digits, strings as given."""
+    path = tmp_path / "table.csv"
+    rows = [
+        np.array([3.0, 0.1, -0.0, 5e-324, 1e300]),
+        [12, "gbbks2", "", 2.0 / 3.0, np.float64(-1.5)],
+    ]
+    experiments.write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+    assert path.read_bytes() == (
+        b"a,b,c,d,e\n"
+        b"3,0.10000000000000001,-0,4.9406564584124654e-324,1.0000000000000001e+300\n"
+        b"12,gbbks2,,0.66666666666666663,-1.5\n"
+    )
+    with pytest.raises(ValueError, match="row width"):
+        experiments.write_csv(str(path), ["a", "b"], [[1.0]])

@@ -359,7 +359,7 @@ class TestIntegrate:
     def test_times_by_multiplication(self):
         dt = 0.1
         traj = integrate(UNIT_2X2, make_scheme("euler"), Y21, dt, 5)
-        assert traj.times == [k * dt for k in range(6)]
+        assert traj.times.tolist() == [k * dt for k in range(6)]
 
     def test_invariant_defect_and_positivity_recorded(self):
         traj = integrate(MODEL_5X5, make_scheme("geco1"), np.array([0.0, 3, 3, 3, 4.0]), 1.0, 50)
@@ -394,7 +394,8 @@ class TestIntegrate:
         """Defects and minima computed after the loop equal the per-state values, bit for bit."""
         y0 = np.array([0.0, 3, 3, 3, 4.0])
         traj = integrate(MODEL_5X5, make_scheme(name), y0, 0.2, 300)
-        assert (traj.invariant_defect, traj.min_component) == per_state_diagnostics(MODEL_5X5, traj)
+        diagnostics = (traj.invariant_defect.tolist(), traj.min_component.tolist())
+        assert diagnostics == per_state_diagnostics(MODEL_5X5, traj)
 
     def test_mid_run_failure_keeps_diagnostics(self):
         """A strategy whose sigma turns to zeros at its 29th call stops gbbks2 at step 29."""
@@ -413,7 +414,8 @@ class TestIntegrate:
         traj = err.value.trajectory
         assert isinstance(err.value.cause, ModelError)
         assert len(traj.states) == len(traj.invariant_defect) == len(traj.min_component) == 29
-        assert (traj.invariant_defect, traj.min_component) == per_state_diagnostics(model, traj)
+        diagnostics = (traj.invariant_defect.tolist(), traj.min_component.tolist())
+        assert diagnostics == per_state_diagnostics(model, traj)
 
     @pytest.mark.parametrize("name", ["gbbks1", "gbbks2"])
     @pytest.mark.parametrize("k", ["1000", "1e+06"])
