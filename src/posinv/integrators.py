@@ -28,31 +28,19 @@ from .pds import LinearPds, destruction_rate_sum
 class Scheme:
     """One entry of :data:`SCHEMES`.
 
-    ``step`` maps (model, spec, y, dt) to a :class:`StepOutcome`.  ``damping``
-    holds the factors d_k(x), x = dt*trace(S-), of the stability polynomial
-    1 + z*d_1 + z^2/2*d_2 (z = dt*lambda); on a linear model the steady-state
-    Jacobian is that polynomial at dt*A.
+    ``kernel`` maps (model, y, dt, spec) to (next state, tau, phi_args) and
+    checks neither.  ``damping`` holds the factors d_k(x), x = dt*trace(S-), of
+    the stability polynomial 1 + z*d_1 + z^2/2*d_2 (z = dt*lambda), which at
+    dt*A is the steady-state Jacobian on a linear model.
     """
 
-    step: Callable[..., StepOutcome]
+    kernel: Callable[..., tuple[np.ndarray, float, dict]]
     damping: tuple[Callable[[float], float], ...]
 
 
 def _one(x: float) -> float:
     return 1.0
 
-
-# The adapters look each step function up by name at call time, so a rebinding
-# of the module attribute (a profiler's wrapper, say) is seen by ``step``.
-SCHEMES = {
-    "euler": Scheme(lambda m, s, y, dt: euler_step(m, y, dt), (_one,)),
-    "heun": Scheme(lambda m, s, y, dt: heun_step(m, y, dt), (_one, _one)),
-    "geco1": Scheme(lambda m, s, y, dt: geco1_step(m, y, dt), (lambda x: phi(x),)),
-    "geco2": Scheme(lambda m, s, y, dt: geco2_step(m, y, dt), (_one, lambda x: phi(x))),
-    "gbbks1": Scheme(lambda m, s, y, dt: gbbks1_step(m, y, dt, s.strategy), (_one,)),
-    "gbbks2": Scheme(lambda m, s, y, dt: gbbks2_step(m, y, dt, s.alpha, s.strategy), (_one, _one)),
-}
-SCHEME_IDS = tuple(SCHEMES)
 
 #: Below this argument the direct formula for ``phi`` loses digits; switch to
 #: the four-term series (next term is x^4/120 ~ 1e-22 relative at the cutoff).
@@ -99,17 +87,18 @@ def solve_tau(c, d, sigma, r: float) -> float:
     returned.  At most 200 iterations.  An empty index set returns 1 (empty
     product convention used by the callers).
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float)).tolist()
-    d = np.atleast_1d(np.asarray(d, dtype=float)).tolist()
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float)).tolist()
+    c, d, sigma = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (c, d, sigma))
     if len(c) == 0:
         return 1.0
     if not (len(c) == len(d) == len(sigma)):
         raise ValueError("c, d, sigma must have matching shapes")
     if min(c) <= 0.0 or max(d) >= 0.0 or min(sigma) <= 0.0 or not r > 0.0:
         raise ValueError("need c > 0, d < 0, sigma > 0, r > 0")
-    r = float(r)
-    factors = tuple(zip(c, d, sigma))
+    return _newton_tau(list(zip(c, d, sigma)), float(r))
+
+
+def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
+    """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples."""
 
     def evaluate(tau: float):
         """(G(tau), G'(tau)), or None at a nonpositive factor."""
@@ -201,7 +190,6 @@ class GbbksStrategy:
         """Classic second-order preset: pi = y, sigma_m = y_m^(1-1/a) * y2_m^(1/a), q = r = 1."""
         alpha = float(alpha)
         e1, e2 = 1.0 - 1.0 / alpha, 1.0 / alpha
-
         return cls(
             sigma=lambda y, y2: np.power(y, e1) * np.power(y2, e2),
             r=lambda y: 1.0,
@@ -221,9 +209,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.id not in SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.id!r}; known: {SCHEME_IDS}")
-        if self.id == "gbbks2":
-            if self.alpha is None or not self.alpha >= 0.5:
-                raise ValueError("gbbks2 requires alpha >= 1/2")
+        if self.id == "gbbks2" and (self.alpha is None or not self.alpha >= 0.5):
+            raise ValueError("gbbks2 requires alpha >= 1/2")
         if self.id in ("gbbks1", "gbbks2") and self.strategy is None:
             raise ValueError(f"{self.id} requires a parameter strategy")
 
@@ -238,6 +225,13 @@ def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
     if alpha is not None:
         raise ValueError(f"scheme {name!r} does not take alpha")
     return SchemeSpec(name)
+
+
+def _check_result(next_state: np.ndarray, tau: float) -> None:
+    if not np.isfinite(next_state).all():
+        raise NumericsError("scheme produced a non-finite state")
+    if not tau > 0.0:
+        raise NumericsError(f"product-term factor must be positive, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -255,10 +249,7 @@ class StepOutcome:
     phi_args: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.isfinite(self.next_state).all():
-            raise NumericsError("scheme produced a non-finite state")
-        if not self.tau > 0.0:
-            raise NumericsError(f"product-term factor must be positive, got {self.tau}")
+        _check_result(self.next_state, self.tau)
 
 
 def _rhs(model, y: np.ndarray) -> np.ndarray:
@@ -279,16 +270,91 @@ def _check_step(y, dt: float) -> np.ndarray:
     return y
 
 
+def _euler(model, y: np.ndarray, dt: float, spec):
+    return y + dt * _rhs(model, y), 1.0, {}
+
+
+def _heun(model, y: np.ndarray, dt: float, spec):
+    f1 = _rhs(model, y)
+    f2 = _rhs(model, y + dt * f1)
+    return y + dt * (0.5 * f1 + 0.5 * f2), 1.0, {}
+
+
+def _geco1(model, y: np.ndarray, dt: float, spec):
+    arg = dt * destruction_rate_sum(model, y)
+    factor = dt * phi(arg)
+    return y + factor * _rhs(model, y), 1.0, {"arg": arg}
+
+
+def _geco2(model, y: np.ndarray, dt: float, spec):
+    inner_arg = dt * destruction_rate_sum(model, y)
+    inner_phi = phi(inner_arg)
+    f1 = _rhs(model, y)
+    y2 = y + (dt * inner_phi) * f1
+    if not np.isfinite(y2).all():
+        raise NumericsError("scheme produced a non-finite state")
+    f2 = _rhs(model, y2)
+    w = 2.0 * inner_phi * f1 - f1 - f2
+    w_plus = np.maximum(w, 0.0)
+    active = w_plus > 0.0
+    degenerate = bool((active & (y == 0.0)).any())
+    arg = math.inf if degenerate else dt * float(np.sum(w_plus[active] / y[active]))
+    nxt = y + 0.5 * dt * phi(arg) * (f1 + f2)
+    return nxt, 1.0, {"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate}
+
+
+def _active_solve(y: np.ndarray, slope: np.ndarray, sigma, r: float, label: str) -> float:
+    """Solve the product-term equation over the active set {m : slope_m < 0}."""
+    rows = zip(y.tolist(), slope.tolist(), np.asarray(sigma, dtype=float).tolist(), strict=True)
+    factors = [(ci, di, si) for ci, di, si in rows if di < 0.0]
+    if not factors:
+        return 1.0
+    if not all(0.0 < si < math.inf for _, _, si in factors):
+        raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
+    if min(ci for ci, _, _ in factors) <= 0.0:
+        raise ModelError(f"{label}: state component in the active set is not positive")
+    if not r > 0.0:
+        raise ModelError(f"{label}: strategy exponent must be positive")
+    return _newton_tau(factors, r)
+
+
+def _gbbks1(model, y: np.ndarray, dt: float, spec):
+    f = _rhs(model, y)
+    strategy = spec.strategy
+    tau = _active_solve(y, dt * f, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
+    return y + dt * f * tau, tau, {}
+
+
+def _gbbks2(model, y: np.ndarray, dt: float, spec):
+    alpha, strategy = spec.alpha, spec.strategy
+    f1 = _rhs(model, y)
+    tau_inner = _active_solve(
+        y, (alpha * dt) * f1, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner"
+    )
+    y2 = y + (alpha * dt) * f1 * tau_inner
+    f2 = _rhs(model, y2)
+    fbar = (1.0 - 1.0 / (2.0 * alpha)) * f1 + (1.0 / (2.0 * alpha)) * f2
+    tau = _active_solve(y, dt * fbar, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
+    return y + dt * fbar * tau, tau, {"tau_inner": tau_inner}
+
+
+SCHEMES = {
+    "euler": Scheme(_euler, (_one,)),
+    "heun": Scheme(_heun, (_one, _one)),
+    "geco1": Scheme(_geco1, (lambda x: phi(x),)),
+    "geco2": Scheme(_geco2, (_one, lambda x: phi(x))),
+    "gbbks1": Scheme(_gbbks1, (_one,)),
+    "gbbks2": Scheme(_gbbks2, (_one, _one)),
+}
+SCHEME_IDS = tuple(SCHEMES)
+
+
 def euler_step(model, y, dt: float) -> StepOutcome:
-    y = _check_step(y, dt)
-    return StepOutcome(y + dt * _rhs(model, y))
+    return step(model, SchemeSpec("euler"), y, dt)
 
 
 def heun_step(model, y, dt: float) -> StepOutcome:
-    y = _check_step(y, dt)
-    f1 = _rhs(model, y)
-    f2 = _rhs(model, y + dt * f1)
-    return StepOutcome(y + dt * (0.5 * f1 + 0.5 * f2))
+    return step(model, SchemeSpec("heun"), y, dt)
 
 
 def geco1_step(model, y, dt: float) -> StepOutcome:
@@ -298,11 +364,7 @@ def geco1_step(model, y, dt: float) -> StepOutcome:
     is (I + Phi(dt) A) y and remains well defined on the boundary of the
     positive orthant.
     """
-    y = _check_step(y, dt)
-    arg = dt * destruction_rate_sum(model, y)
-    factor = dt * phi(arg)
-    nxt = y + factor * _rhs(model, y)
-    return StepOutcome(nxt, phi_args={"arg": arg})
+    return step(model, SchemeSpec("geco1"), y, dt)
 
 
 def geco2_step(model, y, dt: float) -> StepOutcome:
@@ -314,82 +376,27 @@ def geco2_step(model, y, dt: float) -> StepOutcome:
     continuous limit 0 freezes the state for this step (flagged in
     ``phi_args['degenerate']``).
     """
-    y = _check_step(y, dt)
-    inner_arg = dt * destruction_rate_sum(model, y)
-    inner_phi = phi(inner_arg)
-    f1 = _rhs(model, y)
-    y2 = y + (dt * inner_phi) * f1
-    if not np.isfinite(y2).all():
-        raise NumericsError("scheme produced a non-finite state")
-    f2 = _rhs(model, y2)
-    w = 2.0 * inner_phi * f1 - f1 - f2
-
-    w_plus = np.maximum(w, 0.0)
-    active = w_plus > 0.0
-    degenerate = bool((active & (y == 0.0)).any())
-    if degenerate:
-        arg = math.inf
-    else:
-        arg = dt * float(np.sum(w_plus[active] / y[active]))
-    nxt = y + 0.5 * dt * phi(arg) * (f1 + f2)
-    return StepOutcome(
-        nxt,
-        phi_args={"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate},
-    )
-
-
-def _active_solve(y, slope, sigma_full, r: float, label: str) -> float:
-    """Solve the product-term equation over the active set {m : slope_m < 0}."""
-    active = slope < 0.0
-    if not active.any():
-        return 1.0
-    sigma = np.asarray(sigma_full, dtype=float)[active]
-    if (sigma <= 0.0).any() or not np.isfinite(sigma).all():
-        raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
-    c = y[active]
-    if (c <= 0.0).any():
-        raise ModelError(f"{label}: state component in the active set is not positive")
-    if not r > 0.0:
-        raise ModelError(f"{label}: strategy exponent must be positive")
-    return solve_tau(c, slope[active], sigma, r)
+    return step(model, SchemeSpec("geco2"), y, dt)
 
 
 def gbbks1_step(model, y, dt: float, strategy: GbbksStrategy) -> StepOutcome:
     """First-order product-term step; reduces to Euler when f(y) >= 0."""
-    y = _check_step(y, dt)
-    f = _rhs(model, y)
-    tau = _active_solve(y, dt * f, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
-    return StepOutcome(y + dt * f * tau, tau=tau)
+    return step(model, SchemeSpec("gbbks1", strategy=strategy), y, dt)
 
 
 def gbbks2_step(model, y, dt: float, alpha: float, strategy: GbbksStrategy) -> StepOutcome:
     """Two-stage product-term step; reduces to Heun when both active sets are empty."""
-    y = _check_step(y, dt)
-    if not alpha >= 0.5:
-        raise ValueError("gbbks2 requires alpha >= 1/2")
-    f1 = _rhs(model, y)
-    tau_inner = _active_solve(
-        y, (alpha * dt) * f1, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner"
-    )
-    y2 = y + (alpha * dt) * f1 * tau_inner
-    f2 = _rhs(model, y2)
-    fbar = (1.0 - 1.0 / (2.0 * alpha)) * f1 + (1.0 / (2.0 * alpha)) * f2
-    tau = _active_solve(y, dt * fbar, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
-    return StepOutcome(y + dt * fbar * tau, tau=tau, phi_args={"tau_inner": tau_inner})
+    return step(model, SchemeSpec("gbbks2", alpha=alpha, strategy=strategy), y, dt)
 
 
 def step(model, scheme: SchemeSpec, y, dt: float) -> StepOutcome:
-    """Apply one step of ``scheme`` to ``y``."""
-    return SCHEMES[scheme.id].step(model, scheme, y, dt)
+    """Validate ``y`` and ``dt``, apply the scheme's kernel and validate its result."""
+    return StepOutcome(*SCHEMES[scheme.id].kernel(model, _check_step(y, dt), dt, scheme))
 
 
 def step_map(model, scheme: SchemeSpec, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """The map y -> next state, for Jacobian probes and fixed-point studies."""
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        return step(model, scheme, y, dt).next_state
-
-    return apply
+    return lambda y: step(model, scheme, y, dt).next_state
 
 
 @dataclass
@@ -436,8 +443,9 @@ def _trajectory(model, dt: float, states: list[np.ndarray]) -> Trajectory:
 
 
 def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Trajectory:
-    """Run ``n_steps`` applications of the scheme's step map.
+    """Run ``n_steps`` applications of the scheme's step kernel.
 
+    ``y0`` and ``dt`` are checked once, and each result as it is produced.
     Invariant defects and minima are computed once, after the last step.
     A failing step raises :class:`IntegrationError` carrying the trajectory
     up to the failure and the underlying cause.
@@ -445,16 +453,17 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     y0 = np.asarray(y0, dtype=float)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    advance = SCHEMES[scheme.id].step
+    kernel = SCHEMES[scheme.id].kernel
     states = [y0]
-    y = y0
-    # a non-finite state is rejected by StepOutcome, so hardware overflow
+    # a non-finite state is rejected after each step, so hardware overflow
     # warnings carry no extra information here; the exception is raised
     # inside the handler, so no local keeps it in a cycle with this frame
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            y = _check_step(y0, dt) if n_steps > 0 else y0
             for _ in range(n_steps):
-                y = advance(model, scheme, y, dt).next_state
+                y, tau, _ = kernel(model, y, dt, scheme)
+                _check_result(y, tau)
                 states.append(y)
         except (PosinvError, ValueError) as exc:
             raise IntegrationError(

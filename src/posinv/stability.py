@@ -163,15 +163,17 @@ def unconditional_certificate(model: LinearPds) -> Certificate:
 def numerical_jacobian(step_fn: Callable, y_star, h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a step map.
 
-    Per-coordinate probe step h * max(1, |y*_i|).  The step maps are C^1
-    with Lipschitz first derivatives but not C^2, so expect O(h) accuracy,
-    not O(h^2).
+    Per-coordinate probe step h * |y*_i| (a zero step raises ValueError): the
+    step maps' curvature grows like dt / y*_i.  They are C^1 with Lipschitz
+    first derivatives but not C^2, so expect O(h) accuracy, not O(h^2).
     """
     y_star = np.asarray(y_star, dtype=float)
     n = y_star.size
     jac = np.empty((n, n))
     for i in range(n):
-        hi = h * max(1.0, abs(y_star[i]))
+        hi = h * abs(y_star[i])
+        if hi == 0.0:
+            raise ValueError(f"probe step for entry {i} is zero; y* must have nonzero entries")
         up = y_star.copy()
         dn = y_star.copy()
         up[i] += hi

@@ -37,7 +37,7 @@ from posinv import (
     solve_tau,
     step,
 )
-from posinv.errors import IntegrationError, ModelError
+from posinv.errors import IntegrationError, ModelError, NumericsError
 from posinv.integrators import SCHEME_IDS
 
 from test_linalg import FIVE, two_by_two
@@ -65,6 +65,16 @@ def nonlinear_model():
         production=lambda y: np.array([y[1] ** 2, y[0] * y[1]]),
         destruction_rate=lambda y: np.array([y[1], y[1]]),
         invariant_rows=np.array([[1.0, 1.0]]),
+    )
+
+
+def robertson_model():
+    """Robertson's kinetics: y1' = -0.04 y1 + 1e4 y2 y3, y3' = 3e7 y2^2, mass conserved."""
+    return GeneralPds(
+        dimension=3,
+        production=lambda y: np.array([1e4 * y[1] * y[2], 0.04 * y[0], 3e7 * y[1] ** 2]),
+        destruction_rate=lambda y: np.array([0.04, 1e4 * y[2] + 3e7 * y[1], 0.0]),
+        invariant_rows=np.ones((1, 3)),
     )
 
 
@@ -310,6 +320,22 @@ class TestSingleSteps:
             out = step(MODEL_5X5, make_scheme(name), y0, 0.29)
             assert np.all(out.next_state > 0.0)
 
+    def test_robertson_boundary_start(self):
+        """(1, 0, 0) is outside the positive-data precondition on this nonlinear model.
+
+        geco2 flags a degenerate step and stays at the start; gbbks2's
+        product-term solve rejects the zero component in its active set.
+        """
+        model = robertson_model()
+        y0 = np.array([1.0, 0.0, 0.0])
+        assert posinv.geco2_step(model, y0, 1e-2).phi_args["degenerate"] is True
+        traj = integrate(model, make_scheme("geco2"), y0, 1e-2, 10)
+        assert traj.states.tolist() == [[1.0, 0.0, 0.0]] * 11
+        with pytest.raises(IntegrationError, match=r"^step 1 of gbbks2 failed") as err:
+            integrate(model, make_scheme("gbbks2"), y0, 1e-2, 10)
+        assert isinstance(err.value.cause, ModelError)
+        assert "state component in the active set is not positive" in str(err.value.cause)
+
     def test_gbbks_rejects_nonpositive_sigma(self):
         bad = GbbksStrategy(
             sigma=lambda y, y2=None: -np.asarray(y),
@@ -397,6 +423,14 @@ class TestIntegrate:
         diagnostics = (traj.invariant_defect.tolist(), traj.min_component.tolist())
         assert diagnostics == per_state_diagnostics(MODEL_5X5, traj)
 
+    def test_mid_run_non_finite_state(self):
+        """Euler at dt = 1e305 overflows at its second step; the first state is kept."""
+        doc = posinv.load_model("builtin:paper-2x2")
+        with pytest.raises(IntegrationError, match=r"^step 2 of euler failed") as err:
+            integrate(doc.build(), make_scheme("euler"), doc.y0, 1e305, 5)
+        assert isinstance(err.value.cause, NumericsError)
+        assert len(err.value.trajectory) == 2
+
     def test_mid_run_failure_keeps_diagnostics(self):
         """A strategy whose sigma turns to zeros at its 29th call stops gbbks2 at step 29."""
         doc = posinv.load_model("builtin:paper-stiff?K=1000")
@@ -446,3 +480,32 @@ class TestIntegrate:
         traj = integrate(model, make_scheme("geco2"), np.array([1.0, 2.0]), 0.5, 40)
         assert max(traj.invariant_defect) <= 1e-12
         assert min(traj.min_component) > 0.0
+
+
+def stepped_states(model, scheme, y0, dt, n_steps):
+    """The states of ``n_steps`` calls of the public, checked ``step``."""
+    states = [np.asarray(y0, dtype=float)]
+    for _ in range(n_steps):
+        states.append(step(model, scheme, states[-1], dt).next_state)
+    return np.array(states).tolist()
+
+
+PAPER_5X5 = posinv.load_model("builtin:paper-5x5")
+PAPER_STIFF = posinv.load_model("builtin:paper-stiff?K=1e+06")
+IDENTITY_CASES = (
+    [(PAPER_5X5.build(), name, PAPER_5X5.y0, 0.1) for name in SCHEME_IDS]
+    + [(nonlinear_model(), name, np.array([1.0, 2.0]), 0.5) for name in SCHEME_IDS]
+    + [(PAPER_STIFF.build(), name, PAPER_STIFF.y0, 1e12) for name in ("gbbks1", "gbbks2")]
+)
+
+
+@pytest.mark.parametrize(
+    "model,name,y0,dt",
+    IDENTITY_CASES,
+    ids=[f"{type(c[0]).__name__}-{c[1]}-dt{c[3]:g}" for c in IDENTITY_CASES],
+)
+def test_integrate_matches_checked_steps_bitwise(model, name, y0, dt):
+    """``integrate``'s unchecked kernel loop gives the bits of iterating ``step``."""
+    scheme = make_scheme(name)
+    traj = integrate(model, scheme, y0, dt, 40)
+    assert traj.states.tolist() == stepped_states(model, scheme, y0, dt, 40)

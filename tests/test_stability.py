@@ -139,6 +139,10 @@ class TestJacobians:
             for v in model.kernel_basis:
                 npt.assert_allclose(jac @ v, v, atol=1e-10)
 
+    def test_zero_entry_has_no_probe_step(self):
+        with pytest.raises(ValueError, match="probe step for entry 1 is zero"):
+            stability.numerical_jacobian(lambda y: y, np.array([1.0, 0.0]))
+
     def test_probe_failure_is_explicit(self):
         def broken(y):
             return np.full_like(y, np.nan)
@@ -197,6 +201,23 @@ class TestClassifyFixedPoint:
         )
         assert below.verdict == "stable"
         assert above.verdict == "unstable"
+
+    @pytest.mark.parametrize("name", ["geco2", "gbbks1", "gbbks2"])
+    @pytest.mark.parametrize("seed", [7, 90, 141])
+    def test_small_steady_state_entries_classify(self, seed, name):
+        """random:4 systems whose smallest steady-state entry is 4e-4 to 2e-3.
+
+        The step maps' curvature grows like dt / y*_i, so a probe step
+        h*max(1, |y*_i|) missed the closed form by up to 3.2e-3 here, beyond
+        the 1e-3 bound; the relative probe h*|y*_i| classifies both sides.
+        """
+        model = stability.random_conservative_system(seed, 4)
+        y_star = steady_state_for(model, np.ones(4))
+        scheme = make_scheme(name)
+        dt_star = stability.critical_step(model, scheme).dt_star
+        below = stability.classify_fixed_point(model, scheme, y_star, 0.9 * dt_star)
+        above = stability.classify_fixed_point(model, scheme, y_star, 1.1 * dt_star)
+        assert (below.verdict, above.verdict) == ("stable", "unstable")
 
     def test_exactly_critical_step_is_inconclusive(self):
         """On the tolerance band around the unit circle no verdict is guessed."""
