@@ -1,0 +1,224 @@
+#!/usr/bin/env python3
+"""Record the product-term solves of the benchmark workloads and replay them on two trees.
+
+    python3 scripts/tau_traffic.py BASE_SRC [SRC]
+
+Records every ``posinv.integrators._newton_tau`` call made by one pass of the
+``reproduce`` workload and one seed-0 pass of ``stiff-sweep`` (the workloads
+of ``perfbench/workloads.py``), with posinv imported from BASE_SRC.  Then it
+replays the recorded calls on BASE_SRC and on SRC (default: the ``src/`` next
+to this script), each in its own process, and prints for each workload:
+
+* the number of calls, and how many return a bit-identical tau on both trees,
+  also split into calls whose entries are all normal floats, calls where the
+  base tree returned a positivity boundary below the root (the next float
+  up would make a float factor c + d*tau nonpositive, and the exact G is
+  still positive there) and the rest;
+* evaluations of G per call, and microseconds per call (best of three
+  replays), on each tree;
+* for every call whose tau differs, the relative distance of each tree's
+  tau from the 50-digit root (``gen_oracle_values.product_term_root``), and
+  whether each keeps every float factor positive.
+
+Exits 1 when a call that differs is farther from the root on SRC than on
+BASE_SRC, or leaves a float factor nonpositive where BASE_SRC did not.
+
+The steps also run on their own:
+
+    python3 scripts/tau_traffic.py --record BASE_SRC TRAFFIC.json
+    python3 scripts/tau_traffic.py --replay SRC TRAFFIC.json RESULT.json
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from mpmath import mp
+
+ROOT = Path(__file__).resolve().parent.parent
+#: (workload, seed) of the recorded passes.
+PASSES = (("reproduce", 0), ("stiff-sweep", 0))
+REPLAYS = 3
+
+
+def import_posinv(src: str):
+    sys.path.insert(0, str(Path(src).resolve()))
+    from posinv import integrators
+
+    if not Path(integrators.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"posinv imported from {integrators.__file__}, not from {src}")
+    return integrators
+
+
+def record(src: str, out: str) -> None:
+    """Write the (factors, r) of every ``_newton_tau`` call of each pass to ``out``."""
+    integrators = import_posinv(src)
+    sys.path.insert(1, str(ROOT))
+    from perfbench.workloads import WORKLOADS
+
+    calls = []
+    solve = integrators._newton_tau
+
+    def recording(factors, r):
+        calls.append((list(factors), r))
+        return solve(factors, r)
+
+    traffic = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, seed in PASSES:
+            workload = WORKLOADS[name](seed, scratch)
+            calls.clear()
+            integrators._newton_tau = recording
+            try:
+                outcome = workload.run_pass()
+            finally:
+                integrators._newton_tau = solve
+            if outcome.failed:
+                print(f"warning: {name} pass failed: {outcome.failures}", file=sys.stderr)
+            traffic[name] = list(calls)
+    Path(out).write_text(json.dumps(traffic))
+
+
+def replay(src: str, traffic_path: str, out: str) -> None:
+    """Solve every recorded call again; write each tau, the G evaluations per call and µs per call."""
+    integrators = import_posinv(src)
+    solve = integrators._newton_tau
+    traffic = json.loads(Path(traffic_path).read_text())
+    code_file = integrators.__file__
+    results = {}
+    for name, calls in traffic.items():
+        calls = [([tuple(t) for t in factors], r) for factors, r in calls]
+        taus, evals = [], []
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "evaluate" and frame.f_code.co_filename == code_file:
+                count[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            for factors, r in calls:
+                count[0] = 0
+                try:
+                    taus.append(solve(factors, r))
+                except Exception as exc:  # a failing solve is reported, not fatal
+                    taus.append(f"{type(exc).__name__}: {exc}")
+                evals.append(count[0])
+        finally:
+            sys.setprofile(None)
+        best = math.inf
+        for _ in range(REPLAYS):
+            start = time.perf_counter()
+            for factors, r in calls:
+                try:
+                    solve(factors, r)
+                except Exception:  # already reported above; timed like the rest
+                    pass
+            best = min(best, time.perf_counter() - start)
+        results[name] = {"tau": taus, "evals": evals, "us_per_call": 1e6 * best / max(len(calls), 1)}
+    Path(out).write_text(json.dumps(results))
+
+
+def all_normal(factors) -> bool:
+    return all(abs(v) >= 2.0**-1022 for triple in factors for v in triple)
+
+
+def keeps_positive(factors, tau) -> bool:
+    return isinstance(tau, float) and all(c + d * tau > 0.0 for c, d, _ in factors)
+
+
+def at_boundary(factors, tau) -> bool:
+    """Whether tau keeps every float factor positive and the next float up does not."""
+    up = math.nextafter(tau, math.inf) if isinstance(tau, float) else tau
+    return keeps_positive(factors, tau) and not keeps_positive(factors, up)
+
+
+def exact_g(factors, r, tau):
+    """G(tau) at 60 digits, with the floats taken exactly."""
+    with mp.workdps(60):
+        prod = mp.mpf(1)
+        for c, d, s in factors:
+            prod *= (mp.mpf(c) + mp.mpf(d) * mp.mpf(tau)) / mp.mpf(s)
+        return prod ** mp.mpf(r) - mp.mpf(tau)
+
+
+def distance(root, tau) -> float:
+    return abs(tau - root) / root if isinstance(tau, float) else math.inf
+
+
+def compare(base_src: str, src: str) -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from gen_oracle_values import product_term_root
+
+    me = [sys.executable, str(Path(__file__).resolve())]
+    worse = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        traffic_path = str(Path(tmp) / "traffic.json")
+        subprocess.run([*me, "--record", base_src, traffic_path], check=True)
+        runs = []
+        for i, tree in enumerate((base_src, src)):
+            out = str(Path(tmp) / f"replay{i}.json")
+            subprocess.run([*me, "--replay", tree, traffic_path, out], check=True)
+            runs.append(json.loads(Path(out).read_text()))
+        traffic = json.loads(Path(traffic_path).read_text())
+    print(f"base {base_src}\nnew  {src}")
+    for name, calls in traffic.items():
+        base, new = runs[0][name], runs[1][name]
+        n = len(calls)
+        classes = {"all-normal": [], "base at boundary below root": [], "other": []}
+        for i, (factors, r) in enumerate(calls):
+            tau = base["tau"][i]
+            if all_normal(factors):
+                classes["all-normal"].append(i)
+            elif at_boundary(factors, tau) and exact_g(factors, r, tau) > 0:
+                classes["base at boundary below root"].append(i)
+            else:
+                classes["other"].append(i)
+        same = {i for i in range(n) if base["tau"][i] == new["tau"][i]}
+        print(f"\n{name}: {n} calls, {len(same)} bit-identical")
+        for label, members in classes.items():
+            print(f"  {label}: {len(members)} calls, {len(same.intersection(members))} bit-identical")
+        for label, run in (("base", base), ("new", new)):
+            print(f"  {label}: {sum(run['evals']) / max(n, 1):.2f} G evaluations per call, "
+                  f"{run['us_per_call']:.2f} us per call")
+        label_of = {i: label for label, members in classes.items() for i in members}
+        for i in sorted(set(range(n)) - same):
+            factors, r = calls[i]
+            c, d, s = zip(*factors)
+            try:
+                root = product_term_root(c, d, s, r)
+                dist = [float(distance(root, run["tau"][i])) for run in (base, new)]
+            except ValueError as exc:
+                dist = [math.nan, math.nan]
+                print(f"  call {i}: oracle failed: {exc}")
+            positive = [keeps_positive(factors, run["tau"][i]) for run in (base, new)]
+            bad = dist[1] > dist[0] or (positive[0] and not positive[1])
+            worse += bad
+            print(f"  call {i} ({label_of[i]}): m={len(factors)} tau base {base['tau'][i]!r} new {new['tau'][i]!r}; "
+                  f"from root base {dist[0]:.2e} new {dist[1]:.2e}; positive base {positive[0]} "
+                  f"new {positive[1]}{'  WORSE' if bad else ''}")
+    print(f"\n{worse} differing calls worse on the new tree")
+    return 1 if worse else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--record"] and len(argv) == 3:
+        record(argv[1], argv[2])
+        return 0
+    if argv[:1] == ["--replay"] and len(argv) == 4:
+        replay(argv[1], argv[2], argv[3])
+        return 0
+    if 1 <= len(argv) <= 2 and not argv[0].startswith("-"):
+        return compare(argv[0], argv[1] if len(argv) == 2 else str(ROOT / "src"))
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

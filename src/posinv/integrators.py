@@ -81,11 +81,23 @@ def solve_tau(c, d, sigma, r: float) -> float:
     For r >= 1, G is convex and the Newton iterates climb to the root from
     the left.  Iteration stops when the Newton step is within one ulp of tau;
     if the residual at the new iterate exceeds 1e-14 its ulp neighbours are
-    tried.  The returned tau makes every float c_m + d_m*tau (the update the
-    schemes form) strictly positive: when the converged point does not, or
-    the bracket closes to neighbouring floats, the last point with G > 0 is
-    returned.  At most 200 iterations.  An empty index set returns 1 (empty
-    product convention used by the callers).
+    tried.  At most 200 iterations.
+
+    G is evaluated at full precision on subnormal data: a triple with an
+    entry below the smallest normal float is multiplied by the power of two
+    2^k, k > 0, that puts its largest entry in [2^1020, 2^1021).  That is
+    exact and leaves every ratio of G unchanged, so only the rounding of
+    c_m + d_m*tau improves; triples of normal floats are used as they are.
+
+    The returned tau makes every float c_m + d_m*tau (the update the schemes
+    form) strictly positive: when the converged point does not, or the
+    bracket closes to neighbouring floats, the last point with G > 0 is
+    returned.  Where the unscaled update of a rescaled triple is not
+    positive at the root (its exact value lies below half the smallest
+    subnormal, as for c = sigma = 2^-1074), tau is lowered to the largest
+    float that keeps it positive: the quotient (c - 2^-1075) / (-d), formed
+    exactly after rescaling and corrected by at most a few ulps.  An empty
+    index set returns 1 (empty product convention used by the callers).
     """
     c, d, sigma = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (c, d, sigma))
     if len(c) == 0:
@@ -97,8 +109,58 @@ def solve_tau(c, d, sigma, r: float) -> float:
     return _newton_tau(list(zip(c, d, sigma)), float(r))
 
 
+#: Smallest positive normal float; a triple with an entry below it is rescaled.
+_MIN_NORMAL = 2.0**-1022
+
+
 def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
     """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples."""
+    for ci, di, si in factors:
+        if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
+            break
+    else:
+        return _newton_root(factors, r)
+    tau = _newton_root([_rescaled(*triple) for triple in factors], r)
+    for ci, di, _ in factors:
+        if not ci + di * tau > 0.0:
+            # after an underflowed G(0) no positive float may be left; keep ulp(0)
+            tau = max(_last_positive_tau(ci, di), math.ulp(0.0))
+    return tau
+
+
+def _lift(*values: float) -> int:
+    """Exponent k that puts the largest magnitude among ``values`` in [2^1020, 2^1021)."""
+    return 1021 - max(math.frexp(v)[1] for v in values)
+
+
+def _rescaled(c: float, d: float, sigma: float) -> tuple[float, float, float]:
+    """The triple times 2^k, if it has a subnormal entry and k > 0; else unchanged."""
+    k = _lift(c, d, sigma)
+    if k <= 0 or min(c, -d, sigma) >= _MIN_NORMAL:
+        return c, d, sigma
+    return math.ldexp(c, k), math.ldexp(d, k), math.ldexp(sigma, k)
+
+
+def _last_positive_tau(c: float, d: float) -> float:
+    """Largest float tau with c + d*tau > 0 in floating point (c > 0, d < 0).
+
+    For c <= 2^-1022, the case the solver meets, the floats below c are
+    2^-1074 apart: the float d*tau stays above -c exactly when -d*tau is
+    below c - 2^-1075 (or equal to it, if that tie rounds away from c).
+    Scaled by 2^k, that threshold is exact and the quotient is rounded once,
+    so a nextafter or two settles the last ulp.
+    """
+    k = _lift(c, d)
+    tau = (math.ldexp(c, k) - math.ldexp(0.5, k - 1074)) / math.ldexp(-d, k)
+    while not c + d * tau > 0.0:
+        tau = math.nextafter(tau, 0.0)
+    while c + d * math.nextafter(tau, math.inf) > 0.0:
+        tau = math.nextafter(tau, math.inf)
+    return tau
+
+
+def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
+    """The safeguarded Newton loop of :func:`solve_tau`, in the arithmetic of ``factors``."""
 
     def evaluate(tau: float):
         """(G(tau), G'(tau)), or None at a nonpositive factor."""
@@ -228,7 +290,8 @@ def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
 
 
 def _check_result(next_state: np.ndarray, tau: float) -> None:
-    if not np.isfinite(next_state).all():
+    # kernel outputs are 1-D; on a few floats this beats np.isfinite(...).all()
+    if not all(map(math.isfinite, next_state.tolist())):
         raise NumericsError("scheme produced a non-finite state")
     if not tau > 0.0:
         raise NumericsError(f"product-term factor must be positive, got {tau}")
@@ -291,7 +354,7 @@ def _geco2(model, y: np.ndarray, dt: float, spec):
     inner_phi = phi(inner_arg)
     f1 = _rhs(model, y)
     y2 = y + (dt * inner_phi) * f1
-    if not np.isfinite(y2).all():
+    if not all(map(math.isfinite, y2.tolist())):
         raise NumericsError("scheme produced a non-finite state")
     f2 = _rhs(model, y2)
     w = 2.0 * inner_phi * f1 - f1 - f2

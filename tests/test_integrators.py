@@ -17,6 +17,7 @@ import dataclasses
 import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,31 @@ def stiff_tau_inputs():
         yield c, -c * rate, c * 10.0 ** rng.uniform(-1.0, 1.0, m), rng.uniform(0.4, 2.5)
 
 
+def deep_subnormal_tau_inputs():
+    """60 seeded problems whose binding component is k * 2^-1074, k from 10^1.5 to 10^12.
+
+    The binding triple has sigma within a factor 2 of c and its rate -d/c
+    from 1 to 1000; zero to three order-one factors with lower rates join
+    it.  Only draws whose binding factor at the root is at least 2^-1074
+    are kept, so the root itself keeps every float factor positive.
+    """
+    rng = np.random.default_rng(11)
+    kept = 0
+    while kept < 60:
+        m = rng.integers(1, 5)
+        rate = 10.0 ** rng.uniform(0.0, 3.0)
+        c = 10.0 ** rng.uniform(-1.0, 0.5, m)
+        d = -c * rate * rng.uniform(0.01, 1.0, m)
+        c[0] = math.ulp(0.0) * round(10.0 ** rng.uniform(1.5, 12.0))
+        d[0] = -c[0] * rate
+        s = c * 10.0 ** rng.uniform(-0.3, 0.3, m)
+        r = rng.uniform(0.4, 2.5)
+        root = oracle.product_term_root(c, d, s, r)
+        if c[0] + d[0] * root >= math.ulp(0.0):
+            kept += 1
+            yield c, d, s, r
+
+
 class TestPhi:
     def test_exact_branch_values(self):
         assert phi(0.0) == 1.0
@@ -177,12 +203,16 @@ class TestSolveTau:
         tau = solve_tau([c], [-d_mag], [s], r)
         assert 0.0 < tau < c / d_mag
 
-    @pytest.mark.parametrize("inputs", [desk_tau_inputs, stiff_tau_inputs])
+    @pytest.mark.parametrize(
+        "inputs", [desk_tau_inputs, stiff_tau_inputs, deep_subnormal_tau_inputs]
+    )
     def test_matches_independent_oracle(self, inputs):
         """Within 1e-14 relative of a 50-digit root of G; every factor stays positive.
 
         On the stiff set some roots lie within rounding of tau_max (and some
         above its float value), so the float tau_max itself may be returned.
+        On the deep subnormal set G must be evaluated on rescaled triples:
+        at the resolution of 2^-1074 its float value is a step function.
         """
         for c, d, s, r in inputs():
             tau = solve_tau(c, d, s, r)
@@ -192,24 +222,50 @@ class TestSolveTau:
             assert abs(tau - root) <= 1e-14 * root
 
     def test_underflowed_product_gives_smallest_positive_tau(self):
-        """G(0) = (1e-200)^2 rounds to 0.0; the root is below every positive float."""
-        assert solve_tau([1e-200, 1e-200], [-1.0, -1.0], [1.0, 1.0], 1.0) == math.ulp(0.0)
+        """G(0) = (1e-200)^2 rounds to 0.0; the root is below every positive float.
 
-    def test_one_ulp_component_stays_positive(self):
+        Also when a third, subnormal factor 2^-1074 - tau already rounds to
+        0.0 at tau = 2^-1074: tau stays positive rather than that factor.
+        """
+        assert solve_tau([1e-200, 1e-200], [-1.0, -1.0], [1.0, 1.0], 1.0) == math.ulp(0.0)
+        tiny = math.ulp(0.0)
+        assert solve_tau([1e-200, 1e-200, tiny], [-1.0, -1.0, -1.0], [1.0, 1.0, tiny], 1.0) == tiny
+
+    @pytest.mark.parametrize(
+        "units, root_value",
+        [((1, -1000), 1.0 / 1001.0), ((4, -40), 1.0 / 11.0)],
+        ids=["one_ulp", "four_ulps"],
+    )
+    def test_one_ulp_component_stays_positive(self, units, root_value):
         """A factor that rounds to 0 at the root bounds tau by the last positive float.
 
         With c = sigma = 2^-1074 and d = -1000 * 2^-1074 the root is 1/1001,
         where c + d*tau rounds to 0.0 (its exact value, 2^-1074/1001, is below
         the smallest subnormal).  The solver returns the largest tau whose
-        factor is still the positive 2^-1074.
+        factor is still the positive 2^-1074.  With c = sigma = 4 * 2^-1074
+        and d = -40 * 2^-1074 the root is 1/11 and the factor there 2^-1074/2.75;
+        half of 2^-1074 underflows to 0.0 unless the bound is formed rescaled.
         """
-        c, d, s = np.array([5e-324]), np.array([-4.94e-321]), np.array([5e-324])
+        c = s = np.array([units[0] * math.ulp(0.0)])
+        d = np.array([units[1] * math.ulp(0.0)])
         tau = solve_tau(c, d, s, 1.0)
         root = oracle.product_term_root(c, d, s, 1.0)
-        assert float(root) == pytest.approx(1.0 / 1001.0, rel=1e-15)
+        assert float(root) == pytest.approx(root_value, rel=1e-15)
         assert 0.0 < tau < root
         assert (c + d * tau > 0.0).all()
         assert (c + d * math.nextafter(tau, math.inf) == 0.0).all()
+
+    @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
+    def test_subnormal_rate_beside_large_component(self, c):
+        """A triple (c, -2^-1074, c) is rescaled only as far as nothing overflows.
+
+        Its factor is c in floating point for every tau up to 1, so tau = 1,
+        and next to the one-ulp boundary case it leaves that case's tau alone.
+        """
+        tiny = math.ulp(0.0)
+        assert solve_tau([c], [-tiny], [c], 1.0) == 1.0
+        alone = solve_tau([4 * tiny], [-40 * tiny], [4 * tiny], 1.0)
+        assert solve_tau([c, 4 * tiny], [-tiny, -40 * tiny], [c, 4 * tiny], 1.0) == alone
 
 
 class TestSingleSteps:
