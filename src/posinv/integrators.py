@@ -98,6 +98,10 @@ def solve_tau(c, d, sigma, r: float) -> float:
     float that keeps it positive: the quotient (c - 2^-1075) / (-d), formed
     exactly after rescaling and corrected by at most a few ulps.  An empty
     index set returns 1 (empty product convention used by the callers).
+
+    Raises ValueError on data outside the requirements or not finite, and
+    :class:`SolverError` carrying the bracket (0, tau_max) when no positive
+    float tau keeps every factor positive.
     """
     c, d, sigma = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (c, d, sigma))
     if len(c) == 0:
@@ -106,7 +110,16 @@ def solve_tau(c, d, sigma, r: float) -> float:
         raise ValueError("c, d, sigma must have matching shapes")
     if min(c) <= 0.0 or max(d) >= 0.0 or min(sigma) <= 0.0 or not r > 0.0:
         raise ValueError("need c > 0, d < 0, sigma > 0, r > 0")
-    return _newton_tau(list(zip(c, d, sigma)), float(r))
+    if not all(map(math.isfinite, c + d + sigma)):
+        raise ValueError("c, d, sigma must be finite")
+    tau = _newton_tau(list(zip(c, d, sigma)), float(r))
+    if not tau > 0.0:
+        # no positive float keeps every factor positive, e.g. c = sigma = 2^-1074, d = -1
+        raise SolverError(
+            "no positive product-term factor keeps every factor positive",
+            bracket=(0.0, min(ci / -di for ci, di in zip(c, d))),
+        )
+    return tau
 
 
 #: Smallest positive normal float; a triple with an entry below it is rescaled.
@@ -229,7 +242,9 @@ class GbbksStrategy:
     inner stage; ``pi`` and ``q`` parametrize the inner stage only.  Outputs
     must be strictly positive wherever the scheme consults them, and sigma
     and pi must reproduce the state on steady states (sigma(v, v) = pi(v) = v
-    whenever A v = 0); the shipped presets satisfy both.
+    whenever A v = 0); the shipped presets satisfy both.  Each callable must
+    be a deterministic function of its arguments: :func:`integrate` stops
+    calling the step map once it returns its input bit for bit.
     """
 
     sigma: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
@@ -509,6 +524,13 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     """Run ``n_steps`` applications of the scheme's step kernel.
 
     ``y0`` and ``dt`` are checked once, and each result as it is produced.
+    When a checked result has the same bytes as the state it came from, the
+    remaining steps are filled with that state and the kernel is not called
+    again.  This relies on the step map being a deterministic function of the
+    state: the kernels are, and so must be the callables of a
+    :class:`~posinv.pds.GeneralPds` and of a :class:`GbbksStrategy`.  The
+    comparison is bitwise, so a step that only flips the sign of a zero
+    still counts as a move.
     Invariant defects and minima are computed once, after the last step.
     A failing step raises :class:`IntegrationError` carrying the trajectory
     up to the failure and the underlying cause.
@@ -524,10 +546,17 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             y = _check_step(y0, dt) if n_steps > 0 else y0
-            for _ in range(n_steps):
+            last = y.tobytes()
+            for done in range(1, n_steps + 1):
                 y, tau, _ = kernel(model, y, dt, scheme)
                 _check_result(y, tau)
                 states.append(y)
+                current = y.tobytes()
+                if current == last:
+                    # a bitwise fixed point of a pure map: every later state is these bits
+                    states.extend([y] * (n_steps - done))
+                    break
+                last = current
         except (PosinvError, ValueError) as exc:
             raise IntegrationError(
                 f"step {len(states)} of {scheme.id} failed: {exc}",

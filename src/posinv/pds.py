@@ -93,7 +93,9 @@ class GeneralPds:
     with f^[D]_j(y) = d_j(y) * y_j; supplying rates instead of raw destruction
     terms makes division by state components unnecessary, so models remain
     evaluable at states with zero components.  ``invariant_rows`` is optional
-    and only used for trajectory diagnostics.
+    and only used for trajectory diagnostics.  Both callables must be
+    deterministic functions of the state: ``integrate`` stops stepping once
+    a step returns its input bit for bit.
     """
 
     dimension: int

@@ -8,6 +8,8 @@ The bound is 1e-11*max|y0| (1e-9 on ``K=1e+06``, where the Pade core of
 1.2e-15 on the 5x5, 1.7e-13 on ``K=1000`` and 3.5e-10 on ``K=1e+06``.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import numpy.testing as npt
@@ -117,3 +119,17 @@ def test_csv_cells_are_17g_numbers_and_verbatim_strings(tmp_path):
     )
     with pytest.raises(ValueError, match="row width"):
         experiments.write_csv(str(path), ["a", "b"], [[1.0]])
+
+
+def test_float_table_blocks_match_the_per_cell_rule(tmp_path):
+    """A 2-D float array, written a block of rows at a time, gives the per-cell bytes."""
+    cells = [3.0, 0.1, -0.0, 5e-324, 1e300, 2.0 / 3.0, -1.5, math.inf, -math.nan]
+    table = np.resize(np.array(cells), (2 * experiments._ROW_BLOCK + 3, 4))
+    header = ["a", "b", "c", "d"]
+    blocks, cellwise = tmp_path / "blocks.csv", tmp_path / "cells.csv"
+    experiments.write_csv(str(blocks), header, table)
+    experiments.write_csv(str(cellwise), header, table.tolist())
+    assert blocks.read_bytes() == cellwise.read_bytes()
+    assert blocks.read_bytes().count(b"\n") == len(table) + 1
+    with pytest.raises(ValueError, match="row width"):
+        experiments.write_csv(str(blocks), header, table[:, :3])

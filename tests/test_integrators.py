@@ -33,12 +33,14 @@ from posinv import (
     LinearPds,
     SchemeSpec,
     integrate,
+    integrators,
     make_scheme,
     phi,
     solve_tau,
+    stability,
     step,
 )
-from posinv.errors import IntegrationError, ModelError, NumericsError
+from posinv.errors import IntegrationError, ModelError, NumericsError, SolverError
 from posinv.integrators import SCHEME_IDS
 
 from test_linalg import FIVE, two_by_two
@@ -186,6 +188,37 @@ class TestSolveTau:
                            ([1], [-1], [0.0], 1), ([1], [-1], [1], 0.0)]:
             with pytest.raises(ValueError):
                 solve_tau(c, d, s, r)
+
+    @pytest.mark.parametrize(
+        "c, d, s", [([math.inf], [-1.0], [1.0]), ([1.0], [-math.inf], [1.0]), ([1.0], [-1.0], [math.inf])]
+    )
+    def test_rejects_non_finite_data(self, c, d, s):
+        with pytest.raises(ValueError, match="finite"):
+            solve_tau(c, d, s, 1.0)
+
+    def test_no_positive_float_tau_raises_with_bracket(self):
+        """c = sigma = 2^-1074, d = -1: c + d*tau is 0.0 at every positive float tau."""
+        tiny = math.ulp(0.0)
+        with pytest.raises(SolverError) as info:
+            solve_tau([tiny], [-1.0], [tiny], 1.0)
+        assert info.value.bracket == (0.0, tiny)
+
+    def test_integrate_reports_the_same_case_as_a_nonpositive_factor(self):
+        """Inside ``integrate`` that case stays the checked-result ``NumericsError``.
+
+        Rate 2^1023 on y_1 = 2^-1074 at dt = 2^51 makes the active triple
+        (2^-1074, -1, 2^-1074) of the first gbbks1 step.
+        """
+        rate = 2.0**1023
+        model = GeneralPds(
+            dimension=2,
+            production=lambda y: np.array([0.0, rate * y[0]]),
+            destruction_rate=lambda y: np.array([rate, 0.0]),
+        )
+        with pytest.raises(IntegrationError, match="factor must be positive, got 0.0") as info:
+            integrate(model, make_scheme("gbbks1"), np.array([math.ulp(0.0), 1.0]), 2.0**51, 3)
+        assert type(info.value.cause) is NumericsError
+        assert len(info.value.trajectory) == 1
 
     def test_residual_and_positivity_invariants(self):
         """|G(tau)| <= 1e-14 and c + d*tau > 0 on desk-scale inputs."""
@@ -543,15 +576,21 @@ def stepped_states(model, scheme, y0, dt, n_steps):
     states = [np.asarray(y0, dtype=float)]
     for _ in range(n_steps):
         states.append(step(model, scheme, states[-1], dt).next_state)
-    return np.array(states).tolist()
+    return np.array(states)
 
 
 PAPER_5X5 = posinv.load_model("builtin:paper-5x5")
 PAPER_STIFF = posinv.load_model("builtin:paper-stiff?K=1e+06")
+RANDOM_16 = stability.random_conservative_system(0, 16)
+# below both baselines' critical steps; euler ends in a period-2 float cycle there
+RANDOM_16_DT = 0.5 * min(
+    stability.critical_step(RANDOM_16, make_scheme(b)).dt_star for b in ("euler", "heun")
+)
 IDENTITY_CASES = (
     [(PAPER_5X5.build(), name, PAPER_5X5.y0, 0.1) for name in SCHEME_IDS]
     + [(nonlinear_model(), name, np.array([1.0, 2.0]), 0.5) for name in SCHEME_IDS]
     + [(PAPER_STIFF.build(), name, PAPER_STIFF.y0, 1e12) for name in ("gbbks1", "gbbks2")]
+    + [(RANDOM_16, name, np.ones(16), RANDOM_16_DT) for name in SCHEME_IDS]
 )
 
 
@@ -561,7 +600,52 @@ IDENTITY_CASES = (
     ids=[f"{type(c[0]).__name__}-{c[1]}-dt{c[3]:g}" for c in IDENTITY_CASES],
 )
 def test_integrate_matches_checked_steps_bitwise(model, name, y0, dt):
-    """``integrate``'s unchecked kernel loop gives the bits of iterating ``step``."""
+    """``integrate`` gives the bits of iterating ``step``, past any fixed point.
+
+    400 steps take every ``paper-5x5`` run past its floating-point fixed
+    point (reached by step 230), where ``integrate`` stops calling the kernel.
+    """
     scheme = make_scheme(name)
-    traj = integrate(model, scheme, y0, dt, 40)
-    assert traj.states.tolist() == stepped_states(model, scheme, y0, dt, 40)
+    traj = integrate(model, scheme, y0, dt, 400)
+    stepped = stepped_states(model, scheme, y0, dt, 400)
+    assert traj.states.shape == stepped.shape
+    assert traj.states.tobytes() == stepped.tobytes()
+
+
+def count_kernel_calls(monkeypatch, name, kernel):
+    """Install ``kernel`` as scheme ``name``'s kernel; return the list of states it is called on."""
+    calls = []
+
+    def counted(model, y, dt, spec):
+        calls.append(y)
+        return kernel(model, y, dt, spec)
+
+    entry = dataclasses.replace(integrators.SCHEMES[name], kernel=counted)
+    monkeypatch.setitem(integrators.SCHEMES, name, entry)
+    return calls
+
+
+def test_integrate_stops_calling_the_kernel_at_a_fixed_point(monkeypatch):
+    """gbbks2 on ``paper-5x5`` at dt 0.1: state 111 maps to itself bit for bit.
+
+    The 112th call returns its input, so the other 1888 states are copies.
+    """
+    calls = count_kernel_calls(monkeypatch, "gbbks2", integrators.SCHEMES["gbbks2"].kernel)
+    traj = integrate(PAPER_5X5.build(), make_scheme("gbbks2"), PAPER_5X5.y0, 0.1, 2000)
+    assert len(calls) == 112
+    assert len(traj) == 2001
+    assert traj.states[111].tobytes() == traj.states[112].tobytes() == traj.final.tobytes()
+    assert traj.states[110].tobytes() != traj.states[111].tobytes()
+
+
+def test_signed_zero_flip_is_not_a_fixed_point(monkeypatch):
+    """A step that turns +0.0 into -0.0 is equal under ``==`` but not bitwise: keep stepping."""
+
+    def flip(model, y, dt, spec):
+        return np.array([y[0], -y[1]]), 1.0, {}
+
+    calls = count_kernel_calls(monkeypatch, "euler", flip)
+    traj = integrate(UNIT_2X2, make_scheme("euler"), np.array([1.0, 0.0]), 0.1, 6)
+    assert len(calls) == 6
+    assert (traj.states == [[1.0, 0.0]] * 7).all()
+    assert [math.copysign(1.0, v) for v in traj.states[:, 1]] == [1.0, -1.0] * 3 + [1.0]
