@@ -44,7 +44,6 @@ from .pds import (
     GeneralPds,
     LinearPds,
     ModelDocument,
-    destruction_rate_sum,
     load_model,
     parse_model,
     serialize_model,

@@ -45,6 +45,14 @@ def _resolve_model(address: str, seed: int) -> tuple[LinearPds, np.ndarray, str]
     return doc.build(), doc.y0, doc.builtin or "file"
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of step sizes and horizons: a positive finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _emit(path: str | None, header, rows) -> None:
     if path is None:
         experiments.write_rows(sys.stdout, header, rows)
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="run one scheme and emit the trajectory as CSV")
     p_int.add_argument("--model", required=True)
     p_int.add_argument("--scheme", required=True, choices=SCHEME_IDS)
-    p_int.add_argument("--dt", type=float, required=True)
+    p_int.add_argument("--dt", type=_positive_float, required=True)
     p_int.add_argument("--steps", type=int, required=True)
     p_int.add_argument("--alpha", type=float, default=None)
     p_int.add_argument("--out", default=None)
@@ -134,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser("stability", help="critical step, certificate, fixed-point verdict")
     p_st.add_argument("--model", required=True)
     p_st.add_argument("--scheme", required=True, choices=SCHEME_IDS)
-    p_st.add_argument("--dt", type=float, default=None)
+    p_st.add_argument("--dt", type=_positive_float, default=None)
     p_st.add_argument("--alpha", type=float, default=None)
     p_st.set_defaults(func=cmd_stability)
 
@@ -146,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ord = sub.add_parser("order", help="observed convergence orders against the exponential")
     p_ord.add_argument("--model", required=True)
     p_ord.add_argument("--scheme", required=True, choices=SCHEME_IDS)
-    p_ord.add_argument("--tmax", type=float, required=True)
-    p_ord.add_argument("--dt0", type=float, required=True)
+    p_ord.add_argument("--tmax", type=_positive_float, required=True)
+    p_ord.add_argument("--dt0", type=_positive_float, required=True)
     p_ord.add_argument("--levels", type=int, required=True)
     p_ord.add_argument("--alpha", type=float, default=None)
     p_ord.add_argument("--out", default=None)

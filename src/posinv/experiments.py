@@ -325,9 +325,9 @@ def run_remark8(outdir: str) -> tuple[list[str], list[Check]]:
     """Region endpoint of the second-order damped scheme, with the reported bracket."""
     endpoint = stability.geco2_region_endpoint()
     zs = np.linspace(endpoint.z_star - 0.5, 0.0, 201)
-    rows = [[z, stability.stability_value("geco2", z, -z).real] for z in zs]
+    values = [stability.stability_value("geco2", z, -z).real for z in zs]
     path = os.path.join(outdir, "remark8.csv")
-    write_csv(path, ["z", "stability_value"], rows)
+    write_csv(path, ["z", "stability_value"], np.column_stack([zs, values]))
 
     checks = [
         Check(

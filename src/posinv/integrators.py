@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, ModelError, NumericsError, PosinvError, SolverError
-from .pds import LinearPds, destruction_rate_sum
 
 
 @dataclass(frozen=True)
@@ -330,15 +329,6 @@ class StepOutcome:
         _check_result(self.next_state, self.tau)
 
 
-def _rhs(model, y: np.ndarray) -> np.ndarray:
-    if isinstance(model, LinearPds):
-        return model.a @ y
-    f = np.asarray(model.rhs(y), dtype=float)
-    if not np.isfinite(f).all():
-        raise ModelError("right-hand side returned non-finite values")
-    return f
-
-
 def _check_step(y, dt: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(dt) and dt > 0.0):
@@ -349,29 +339,29 @@ def _check_step(y, dt: float) -> np.ndarray:
 
 
 def _euler(model, y: np.ndarray, dt: float, spec):
-    return y + dt * _rhs(model, y), 1.0, {}
+    return y + dt * model.rhs(y), 1.0, {}
 
 
 def _heun(model, y: np.ndarray, dt: float, spec):
-    f1 = _rhs(model, y)
-    f2 = _rhs(model, y + dt * f1)
+    f1 = model.rhs(y)
+    f2 = model.rhs(y + dt * f1)
     return y + dt * (0.5 * f1 + 0.5 * f2), 1.0, {}
 
 
 def _geco1(model, y: np.ndarray, dt: float, spec):
-    arg = dt * destruction_rate_sum(model, y)
+    arg = dt * model.destruction_rate_sum(y)
     factor = dt * phi(arg)
-    return y + factor * _rhs(model, y), 1.0, {"arg": arg}
+    return y + factor * model.rhs(y), 1.0, {"arg": arg}
 
 
 def _geco2(model, y: np.ndarray, dt: float, spec):
-    inner_arg = dt * destruction_rate_sum(model, y)
+    inner_arg = dt * model.destruction_rate_sum(y)
     inner_phi = phi(inner_arg)
-    f1 = _rhs(model, y)
+    f1 = model.rhs(y)
     y2 = y + (dt * inner_phi) * f1
     if not all(map(math.isfinite, y2.tolist())):
         raise NumericsError("scheme produced a non-finite state")
-    f2 = _rhs(model, y2)
+    f2 = model.rhs(y2)
     w = 2.0 * inner_phi * f1 - f1 - f2
     w_plus = np.maximum(w, 0.0)
     active = w_plus > 0.0
@@ -397,7 +387,7 @@ def _active_solve(y: np.ndarray, slope: np.ndarray, sigma, r: float, label: str)
 
 
 def _gbbks1(model, y: np.ndarray, dt: float, spec):
-    f = _rhs(model, y)
+    f = model.rhs(y)
     strategy = spec.strategy
     tau = _active_solve(y, dt * f, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
     return y + dt * f * tau, tau, {}
@@ -405,12 +395,12 @@ def _gbbks1(model, y: np.ndarray, dt: float, spec):
 
 def _gbbks2(model, y: np.ndarray, dt: float, spec):
     alpha, strategy = spec.alpha, spec.strategy
-    f1 = _rhs(model, y)
+    f1 = model.rhs(y)
     tau_inner = _active_solve(
         y, (alpha * dt) * f1, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner"
     )
     y2 = y + (alpha * dt) * f1 * tau_inner
-    f2 = _rhs(model, y2)
+    f2 = model.rhs(y2)
     fbar = (1.0 - 1.0 / (2.0 * alpha)) * f1 + (1.0 / (2.0 * alpha)) * f2
     tau = _active_solve(y, dt * fbar, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
     return y + dt * fbar * tau, tau, {"tau_inner": tau_inner}
@@ -507,7 +497,7 @@ class Trajectory:
 def _trajectory(model, dt: float, states: list[np.ndarray]) -> Trajectory:
     """Stack ``states`` with their invariant defects and minima, computed in one pass."""
     arr = np.array(states)
-    rows = getattr(model, "invariant_rows", None)
+    rows = model.invariant_rows
     if rows is None or len(rows) == 0:
         defects = np.zeros(len(arr))
     else:

@@ -189,17 +189,22 @@ class SystemReport:
     ``admissible`` is the conjunction of every flag: nonzero Metzler matrix
     whose zero eigenvalue has matching algebraic and geometric multiplicity
     k >= 1, whose spectrum lies in the closed left half-plane, and which has
-    at least one negative diagonal entry.
+    at least one negative diagonal entry.  It keeps the :func:`nullspace`
+    basis of ker(A) and the eigenvalues above the rank tolerance.
     """
 
     metzler: bool
     nonzero: bool
-    kernel_dim: int
     zero_algebraic_multiplicity: int
     multiplicities_match: bool
     spectrum_nonpositive: bool
     proper_metzler: bool
-    spectrum: Spectrum = field(repr=False)
+    kernel_basis: list[np.ndarray] = field(repr=False)
+    nonzero_eigenvalues: np.ndarray = field(repr=False)
+
+    @property
+    def kernel_dim(self) -> int:
+        return len(self.kernel_basis)
 
     @property
     def admissible(self) -> bool:
@@ -216,13 +221,12 @@ class SystemReport:
 def validate_system(a) -> SystemReport:
     """Check the structural flags of the conservative Metzler system class."""
     a = _as_square(a)
-    n = a.shape[0]
     norm = np.linalg.norm(a, np.inf)
     off = a - np.diag(np.diag(a))
     metzler = bool(np.all(off >= 0.0))
     nonzero = bool(np.any(a != 0.0))
     spec = eigenvalues(a)
-    kernel_dim = len(nullspace(a))
+    basis = nullspace(a)
     alg = spec.zero_count(norm)
     # eigenvalues with tiny positive real part from roundoff still count as nonpositive
     nonz = spec.nonzero(norm)
@@ -231,10 +235,10 @@ def validate_system(a) -> SystemReport:
     return SystemReport(
         metzler=metzler,
         nonzero=nonzero,
-        kernel_dim=kernel_dim,
         zero_algebraic_multiplicity=alg,
-        multiplicities_match=(alg == kernel_dim),
+        multiplicities_match=(alg == len(basis)),
         spectrum_nonpositive=spectrum_nonpositive,
         proper_metzler=proper,
-        spectrum=spec,
+        kernel_basis=basis,
+        nonzero_eigenvalues=nonz,
     )

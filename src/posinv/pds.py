@@ -1,12 +1,13 @@
 """Production-destruction system models.
 
-Two model flavours are supported.  ``LinearPds`` wraps a conservative Metzler
-matrix together with its nonnegative split A = S+ - S- (S- diagonal), the
-invariant rows spanning ker(A^T), and a kernel basis; all of its derived data
-is computed once at construction.  ``GeneralPds`` carries callables for a
-nonlinear right-hand side split into production terms and destruction *rates*
-d with f^[D]_j(y) = d_j(y) * y_j, so that the ratio sums the integrators need
-are well defined even on the boundary of the positive orthant.
+Each model flavour answers for its own arithmetic: ``rhs(y)`` and
+``destruction_rate_sum(y)`` are methods the step kernels call.
+``LinearPds.from_matrix`` analyses a conservative Metzler matrix A once and
+stores what the integrators and the stability toolkit read: the invariant
+rows spanning ker(A^T), a kernel basis, the nonzero eigenvalues and trace(S-)
+of the split A = S+ - S- (S- diagonal).  ``GeneralPds`` carries callables for
+production terms and destruction *rates* d with f^[D]_j(y) = d_j(y) * y_j, so
+the ratio sums stay defined on the boundary of the positive orthant.
 
 Model files are line-oriented UTF-8 (see :func:`parse_model`); the builtin
 registry hard-codes the reference problems with exact integer entries.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,10 +45,9 @@ class LinearPds:
     """Linear production-destruction system y' = A y with A conservative Metzler."""
 
     a: np.ndarray
-    s_plus: np.ndarray = field(repr=False)
-    s_minus: np.ndarray = field(repr=False)
     invariant_rows: np.ndarray = field(repr=False)
     kernel_basis: list[np.ndarray] = field(repr=False)
+    nonzero_eigenvalues: np.ndarray = field(repr=False)
     trace_s_minus: float
 
     @classmethod
@@ -64,17 +64,15 @@ class LinearPds:
                 f"spectrum_nonpositive={report.spectrum_nonpositive}, "
                 f"proper_metzler={report.proper_metzler}"
             )
-        s_plus, s_minus = split_metzler(a)
         rows = linalg.nullspace(a.T)
         if not rows:
             raise ModelError("matrix has no linear invariants (trivial ker(A^T))")
         return cls(
             a=a,
-            s_plus=s_plus,
-            s_minus=s_minus,
             invariant_rows=np.array(rows),
-            kernel_basis=linalg.nullspace(a),
-            trace_s_minus=float(np.trace(s_minus)),
+            kernel_basis=report.kernel_basis,
+            nonzero_eigenvalues=report.nonzero_eigenvalues,
+            trace_s_minus=float(np.maximum(-np.diag(a), 0.0).sum()),
         )
 
     @property
@@ -83,6 +81,10 @@ class LinearPds:
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         return self.a @ y
+
+    def destruction_rate_sum(self, y: np.ndarray) -> float:
+        """trace(S-) at every state: S- is diagonal, so sum_j (S- y)_j / y_j needs no division."""
+        return self.trace_s_minus
 
 
 @dataclass(frozen=True)
@@ -104,28 +106,21 @@ class GeneralPds:
     invariant_rows: np.ndarray | None = None
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
-        """Right-hand side f(y) = p(y) - d(y) * y."""
+        """Right-hand side f(y) = p(y) - d(y) * y; raises ModelError if not finite."""
         rates = np.asarray(self.destruction_rate(y), dtype=float)
-        return np.asarray(self.production(y), dtype=float) - rates * y
+        f = np.asarray(self.production(y), dtype=float) - rates * y
+        if not np.isfinite(f).all():
+            raise ModelError("right-hand side returned non-finite values")
+        return f
 
-
-def destruction_rate_sum(model, y) -> float:
-    """Sum over components of the destruction rates at ``y``.
-
-    For a linear model this is trace(S-) identically: the ratio sum
-    sum_j (S- y)_j / y_j collapses because S- is diagonal, so no division is
-    performed and states with zero components are fine.  For a general model
-    the rate callable is evaluated and validated.
-    """
-    y = np.asarray(y, dtype=float)
-    if isinstance(model, LinearPds):
-        return model.trace_s_minus
-    rates = np.asarray(model.destruction_rate(y), dtype=float)
-    if rates.shape != (model.dimension,):
-        raise ModelError(f"destruction rates have shape {rates.shape}")
-    if np.any(~np.isfinite(rates)) or np.any(rates < 0.0):
-        raise ModelError("destruction rates must be finite and nonnegative")
-    return float(np.sum(rates))
+    def destruction_rate_sum(self, y: np.ndarray) -> float:
+        """Sum of the destruction rates at ``y``, which must be finite and nonnegative."""
+        rates = np.asarray(self.destruction_rate(y), dtype=float)
+        if rates.shape != (self.dimension,):
+            raise ModelError(f"destruction rates have shape {rates.shape}")
+        if np.any(~np.isfinite(rates)) or np.any(rates < 0.0):
+            raise ModelError("destruction rates must be finite and nonnegative")
+        return float(np.sum(rates))
 
 
 def steady_state_for(model: LinearPds, y0) -> np.ndarray:

@@ -93,9 +93,7 @@ def critical_step(model: LinearPds, scheme) -> CriticalStep:
     1e-10.  If the search cap is reached with every value below 1 the
     scheme is unconditionally stable on this model.
     """
-    spec = linalg.eigenvalues(model.a)
-    scale = np.linalg.norm(model.a, np.inf)
-    lams = spec.nonzero(scale)
+    lams = model.nonzero_eigenvalues
     if lams.size == 0:
         return CriticalStep(None, True, None, None)
     trace = model.trace_s_minus
@@ -145,9 +143,7 @@ class Certificate:
 
 
 def unconditional_certificate(model: LinearPds) -> Certificate:
-    spec = linalg.eigenvalues(model.a)
-    scale = np.linalg.norm(model.a, np.inf)
-    lams = spec.nonzero(scale)
+    lams = model.nonzero_eigenvalues
     if lams.size == 0:
         raise NumericsError("certificate undefined: matrix has no nonzero eigenvalues")
     m_value = float(np.min(2.0 * np.abs(lams.real) / np.abs(lams) ** 2))
@@ -321,8 +317,9 @@ def random_conservative_system(seed: int, n: int) -> LinearPds:
     and the all-ones row is a linear invariant.  Draws are rejected until the
     structural validation passes; the output is bit-reproducible per seed.
     """
-    if n < 2:
-        raise ValueError("need dimension n >= 2")
+    if not 2 <= n <= linalg.MAX_DIM:
+        # checked before the n x n draws are allocated
+        raise ValueError(f"need dimension 2 <= n <= {linalg.MAX_DIM}, got {n}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         a = rng.uniform(0.0, 1.0, size=(n, n))

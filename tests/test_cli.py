@@ -226,6 +226,29 @@ class TestOrder:
         assert code == 2
 
 
+INTEGRATE_2X2 = ["integrate", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--steps", "1"]
+STABILITY_5X5 = ["stability", "--model", "builtin:paper-5x5", "--scheme", "geco2"]
+ORDER_2X2 = ["order", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--levels", "2"]
+
+
+@pytest.mark.parametrize("argv,option", [
+    ([*INTEGRATE_2X2, "--dt", "0"], "--dt"),
+    ([*INTEGRATE_2X2, "--dt", "-1"], "--dt"),
+    ([*INTEGRATE_2X2, "--dt", "nan"], "--dt"),
+    ([*INTEGRATE_2X2, "--dt", "inf"], "--dt"),
+    ([*STABILITY_5X5, "--dt", "0"], "--dt"),
+    ([*ORDER_2X2, "--tmax", "0", "--dt0", "0.25"], "--tmax"),
+    ([*ORDER_2X2, "--tmax", "-1", "--dt0", "0.25"], "--tmax"),
+    ([*ORDER_2X2, "--tmax", "1", "--dt0", "inf"], "--dt0"),
+    ([*ORDER_2X2, "--tmax", "1", "--dt0", "nan"], "--dt0"),
+])
+def test_step_sizes_and_horizons_must_be_positive_and_finite(capsys, argv, option):
+    """A usage error (exit 2), not a numerical failure, a failed check or a table of inf."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {option}: must be positive and finite" in err
+
+
 @pytest.mark.parametrize("argv", [
     GECO1_RUN,
     ["order", "--model", "builtin:paper-2x2", "--scheme", "gbbks2", "--tmax", "1",

@@ -425,6 +425,19 @@ class TestSingleSteps:
         assert isinstance(err.value.cause, ModelError)
         assert "state component in the active set is not positive" in str(err.value.cause)
 
+    def test_non_finite_rhs_fails_the_step(self):
+        """A production term that overflows surfaces as the model's error, not as a state."""
+        model = GeneralPds(
+            dimension=2,
+            production=lambda y: np.array([math.inf, 0.0]),
+            destruction_rate=lambda y: np.zeros(2),
+        )
+        with pytest.raises(IntegrationError, match=r"^step 1 of euler failed") as err:
+            integrate(model, make_scheme("euler"), Y21, 0.1, 3)
+        assert isinstance(err.value.cause, ModelError)
+        assert str(err.value.cause) == "right-hand side returned non-finite values"
+        assert err.value.trajectory.states.tolist() == [Y21.tolist()]
+
     def test_gbbks_rejects_nonpositive_sigma(self):
         bad = GbbksStrategy(
             sigma=lambda y, y2=None: -np.asarray(y),

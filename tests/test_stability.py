@@ -303,3 +303,12 @@ class TestRandomSystems:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             stability.random_conservative_system(0, 1)
+
+    @pytest.mark.parametrize("n", [65, 200000])
+    def test_rejects_large_dimension_before_drawing(self, monkeypatch, n):
+        def no_rng(seed):
+            raise AssertionError("the generator must not be created for an oversized n")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.raises(ValueError, match="n <= 64"):
+            stability.random_conservative_system(0, n)
