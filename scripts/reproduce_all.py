@@ -8,14 +8,21 @@ Writes one CSV (or several) plus a JSON summary per experiment into OUTDIR
 Exits 1 when any check fails, 0 otherwise.
 """
 
+import argparse
 import sys
 
 from posinv.cli import EXIT_CHECK_FAILED, EXIT_OK
 from posinv.experiments import EXPERIMENT_IDS, run_experiment
 
 
-def main() -> int:
-    outdir = sys.argv[1] if len(sys.argv) > 1 else "reproduction"
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Run every reference experiment and print a verdict for each check; "
+        "exits 1 when any check fails."
+    )
+    parser.add_argument("outdir", nargs="?", default="reproduction", metavar="OUTDIR",
+                        help="directory for the CSV and JSON files (default: reproduction)")
+    outdir = parser.parse_args(argv).outdir
     n_fail = 0
     for exp_id in EXPERIMENT_IDS:
         files, checks = run_experiment(exp_id, outdir)

@@ -14,8 +14,10 @@ to this script), each in its own process, and prints for each workload:
   base tree returned a positivity boundary below the root (the next float
   up would make a float factor c + d*tau nonpositive, and the exact G is
   still positive there) and the rest;
-* evaluations of G per call, and microseconds per call (best of three
-  replays), on each tree;
+* evaluations of G per call (every call of the evaluator, also the one
+  that tests the positivity boundary), how many calls were decided without
+  the Newton loop, and microseconds per call (best of three replays), on
+  each tree;
 * for every call whose tau differs, the relative distance of each tree's
   tau from the 50-digit root (``gen_oracle_values.product_term_root``), and
   whether each keeps every float factor positive.
@@ -45,6 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: (workload, seed) of the recorded passes.
 PASSES = (("reproduce", 0), ("stiff-sweep", 0))
 REPLAYS = 3
+#: Names of the G evaluator in the trees replayed: the module-level one, and
+#: the closure inside ``_newton_root`` of trees that have no module-level one.
+EVALUATORS = ("_evaluate", "evaluate")
 
 
 def import_posinv(src: str):
@@ -86,7 +91,7 @@ def record(src: str, out: str) -> None:
 
 
 def replay(src: str, traffic_path: str, out: str) -> None:
-    """Solve every recorded call again; write each tau, the G evaluations per call and µs per call."""
+    """Solve every recorded call again; write each tau, G evaluations, Newton loops and µs per call."""
     integrators = import_posinv(src)
     solve = integrators._newton_tau
     traffic = json.loads(Path(traffic_path).read_text())
@@ -94,22 +99,26 @@ def replay(src: str, traffic_path: str, out: str) -> None:
     results = {}
     for name, calls in traffic.items():
         calls = [([tuple(t) for t in factors], r) for factors, r in calls]
-        taus, evals = [], []
-        count = [0]
+        taus, evals, loops = [], [], []
+        count = {"evals": 0, "loops": 0}
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "evaluate" and frame.f_code.co_filename == code_file:
-                count[0] += 1
+            if event == "call" and frame.f_code.co_filename == code_file:
+                if frame.f_code.co_name in EVALUATORS:
+                    count["evals"] += 1
+                elif frame.f_code.co_name == "_newton_root":
+                    count["loops"] += 1
 
         sys.setprofile(profile)
         try:
             for factors, r in calls:
-                count[0] = 0
+                count.update(evals=0, loops=0)
                 try:
                     taus.append(solve(factors, r))
                 except Exception as exc:  # a failing solve is reported, not fatal
                     taus.append(f"{type(exc).__name__}: {exc}")
-                evals.append(count[0])
+                evals.append(count["evals"])
+                loops.append(count["loops"])
         finally:
             sys.setprofile(None)
         best = math.inf
@@ -121,7 +130,8 @@ def replay(src: str, traffic_path: str, out: str) -> None:
                 except Exception:  # already reported above; timed like the rest
                     pass
             best = min(best, time.perf_counter() - start)
-        results[name] = {"tau": taus, "evals": evals, "us_per_call": 1e6 * best / max(len(calls), 1)}
+        us_per_call = 1e6 * best / max(len(calls), 1)
+        results[name] = {"tau": taus, "evals": evals, "loops": loops, "us_per_call": us_per_call}
     Path(out).write_text(json.dumps(results))
 
 
@@ -186,6 +196,7 @@ def compare(base_src: str, src: str) -> int:
             print(f"  {label}: {len(members)} calls, {len(same.intersection(members))} bit-identical")
         for label, run in (("base", base), ("new", new)):
             print(f"  {label}: {sum(run['evals']) / max(n, 1):.2f} G evaluations per call, "
+                  f"{run['loops'].count(0)} calls decided without the Newton loop, "
                   f"{run['us_per_call']:.2f} us per call")
         label_of = {i: label for label, members in classes.items() for i in members}
         for i in sorted(set(range(n)) - same):

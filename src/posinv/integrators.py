@@ -95,8 +95,13 @@ def solve_tau(c, d, sigma, r: float) -> float:
     positive at the root (its exact value lies below half the smallest
     subnormal, as for c = sigma = 2^-1074), tau is lowered to the largest
     float that keeps it positive: the quotient (c - 2^-1075) / (-d), formed
-    exactly after rescaling and corrected by at most a few ulps.  An empty
-    index set returns 1 (empty product convention used by the callers).
+    exactly after rescaling and corrected by at most a few ulps.  That
+    boundary is tested before Newton runs: the smallest one over the
+    triples with a subnormal c is returned, without the Newton loop, when
+    G there exceeds four times its rounding-error bound, since the root then
+    lies above it and the clamp would replace Newton's answer by it anyway.
+    An empty index set returns 1 (empty product convention used by the
+    callers).
 
     Raises ValueError on data outside the requirements or not finite, and
     :class:`SolverError` carrying the bracket (0, tau_max) when no positive
@@ -126,13 +131,29 @@ _MIN_NORMAL = 2.0**-1022
 
 
 def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
-    """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples."""
+    """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples.
+
+    All-normal triples go to the Newton loop as they are.  Otherwise the
+    result is max(min(newton, b_1, ..., b_n), 2^-1074) over the positivity
+    boundaries b_m of the factors that Newton's tau leaves nonpositive.  When
+    G at b, the smallest boundary of the triples with a subnormal c, is
+    positive beyond rounding (:func:`_root_above`), the root and so Newton's
+    tau lie above b: b goes to the clamp in its place, with the same bits.
+    """
     for ci, di, si in factors:
         if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
             break
     else:
         return _newton_root(factors, r)
-    tau = _newton_root([_rescaled(*triple) for triple in factors], r)
+    scaled = [_rescaled(*triple) for triple in factors]
+    boundary = min(
+        (_last_positive_tau(ci, di) for ci, di, _ in factors if ci < _MIN_NORMAL), default=0.0
+    )
+    # a boundary of 0.0 passes the clamp unchanged, where Newton's tau would become 2^-1074
+    if boundary > 0.0 and _root_above(scaled, r, boundary):
+        tau = boundary
+    else:
+        tau = _newton_root(scaled, r)
     for ci, di, _ in factors:
         if not ci + di * tau > 0.0:
             # after an underflowed G(0) no positive float may be left; keep ulp(0)
@@ -142,13 +163,15 @@ def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
 
 def _lift(*values: float) -> int:
     """Exponent k that puts the largest magnitude among ``values`` in [2^1020, 2^1021)."""
-    return 1021 - max(math.frexp(v)[1] for v in values)
+    return 1021 - math.frexp(max(map(abs, values)))[1]
 
 
 def _rescaled(c: float, d: float, sigma: float) -> tuple[float, float, float]:
     """The triple times 2^k, if it has a subnormal entry and k > 0; else unchanged."""
+    if min(c, -d, sigma) >= _MIN_NORMAL:
+        return c, d, sigma
     k = _lift(c, d, sigma)
-    if k <= 0 or min(c, -d, sigma) >= _MIN_NORMAL:
+    if k <= 0:
         return c, d, sigma
     return math.ldexp(c, k), math.ldexp(d, k), math.ldexp(sigma, k)
 
@@ -171,26 +194,43 @@ def _last_positive_tau(c: float, d: float) -> float:
     return tau
 
 
+def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
+    """(G(tau), G'(tau)) in the arithmetic of ``factors``, or None at a nonpositive factor."""
+    prod = 1.0
+    slope_sum = 0.0
+    for ci, di, si in factors:
+        num = ci + di * tau
+        if num <= 0.0:
+            return None
+        prod *= num / si
+        slope_sum += di / num
+    p = prod**r
+    return p - tau, p * r * slope_sum - 1.0
+
+
+def _root_above(factors: list[tuple[float, float, float]], r: float, tau: float) -> bool:
+    """Whether G(tau) is positive by more than four times its rounding-error bound.
+
+    The float p = prod_m ((c_m + d_m*tau)/sigma_m)^r carries a relative
+    error below u*(r*sum_m (3 + kappa_m) + 2), u = 2^-53, where
+    kappa_m = -d_m*tau/(c_m + d_m*tau) counts the cancellation in the
+    factor and r*p*sum_m kappa_m is -tau*(G'(tau) + 1); forming p - tau adds
+    at most u*p.  G is decreasing, so the root then lies above tau.
+    """
+    point = _evaluate(factors, r, tau)
+    if point is None:
+        return False
+    g, slope = point
+    p = g + tau
+    return g > 2.0**-51 * ((3.0 * len(factors) * r + 3.0) * p - tau * (slope + 1.0))
+
+
 def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
     """The safeguarded Newton loop of :func:`solve_tau`, in the arithmetic of ``factors``."""
-
-    def evaluate(tau: float):
-        """(G(tau), G'(tau)), or None at a nonpositive factor."""
-        prod = 1.0
-        slope_sum = 0.0
-        for ci, di, si in factors:
-            num = ci + di * tau
-            if num <= 0.0:
-                return None
-            prod *= num / si
-            slope_sum += di / num
-        p = prod**r
-        return p - tau, p * r * slope_sum - 1.0
-
     lo, hi = 0.0, min(ci / -di for ci, di, _ in factors)
     tau, move = 0.0, math.inf
     for _ in range(200):
-        point = evaluate(tau)
+        point = _evaluate(factors, r, tau)
         if point is None:
             hi = tau
         else:
@@ -221,13 +261,13 @@ def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
             residual=g,
         )
     tau += step
-    point = evaluate(tau)
+    point = _evaluate(factors, r, tau)
     if point is None:
         return lo
     g = point[0]
     if abs(g) > 1e-14:
         for near in (math.nextafter(tau, 0.0), math.nextafter(tau, math.inf)):
-            point = evaluate(near)
+            point = _evaluate(factors, r, near)
             if point is not None and abs(point[0]) < abs(g):
                 tau, g = near, point[0]
     return tau

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import NumericsError
+from .errors import ModelError, NumericsError
 from .integrators import SCHEMES, SchemeSpec, make_scheme, phi, step_map
 from .pds import LinearPds
 
@@ -314,8 +314,9 @@ def random_conservative_system(seed: int, n: int) -> LinearPds:
 
     Off-diagonal entries are sampled nonnegative (with some sparsity) and
     each diagonal entry is the negated column sum, so all column sums vanish
-    and the all-ones row is a linear invariant.  Draws are rejected until the
-    structural validation passes; the output is bit-reproducible per seed.
+    and the all-ones row is a linear invariant.  Draws are rejected until
+    :meth:`LinearPds.from_matrix` accepts one; the output is bit-reproducible
+    per seed.
     """
     if not 2 <= n <= linalg.MAX_DIM:
         # checked before the n x n draws are allocated
@@ -326,6 +327,8 @@ def random_conservative_system(seed: int, n: int) -> LinearPds:
         a[rng.random((n, n)) < 0.25] = 0.0
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, -a.sum(axis=0))
-        if linalg.validate_system(a).admissible:
+        try:
             return LinearPds.from_matrix(a)
+        except ModelError:
+            continue
     raise NumericsError("no admissible random system in 100 draws")

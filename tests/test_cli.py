@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -196,6 +198,17 @@ class TestReproduce:
         monkeypatch.setattr(sys, "argv", ["reproduce_all.py", str(tmp_path)])
         assert script.main() == want
         capsys.readouterr()
+
+    def test_reproduce_all_help_exits_0_and_writes_nothing(self, tmp_path):
+        """``--help`` prints the usage; it is not taken as the output directory."""
+        src = str(REPRODUCE_ALL.parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, str(REPRODUCE_ALL), "--help"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: reproduce_all.py [-h] [OUTDIR]")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOrder:

@@ -20,6 +20,7 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -142,6 +143,57 @@ def deep_subnormal_tau_inputs():
         if c[0] + d[0] * root >= math.ulp(0.0):
             kept += 1
             yield c, d, s, r
+
+
+def boundary_tau_inputs():
+    """300 seeded problems whose first triple has a subnormal c = k * 2^-1074, k from 1 to 10^15.6.
+
+    Its positivity boundary b (the largest float tau keeping c + d*tau
+    positive) lies between 1/2 and 1 of c/(-d).  Zero to three order-one
+    factors with lower rates join it, and the last sigma is set so that the
+    exact root lies, in turn, within 4 ulps of b, between b and c/(-d), or
+    0.1% to 90% below b.
+    """
+    rng = np.random.default_rng(13)
+    kept = 0
+    while kept < 300:
+        m = rng.integers(1, 5)
+        r = 1.0 if rng.random() < 0.5 else rng.uniform(0.4, 2.5)
+        rate = 10.0 ** rng.uniform(-3.0, 12.0)
+        c = 10.0 ** rng.uniform(-2.0, 0.5, m)
+        c[0] = math.ulp(0.0) * round(10.0 ** rng.uniform(0.0, 15.6))
+        d = -c * rate * rng.uniform(0.001, 1.0, m)
+        d[0] = -c[0] * rate
+        s = c * 10.0 ** rng.uniform(-1.0, 1.0, m)
+        if not ((s > 0.0).all() and (d < 0.0).all()):
+            continue
+        b = integrators._last_positive_tau(c[0], d[0])
+        with mp.workdps(60):
+            if kept % 3 == 0:
+                root = mp.mpf(b) + rng.uniform(-4.0, 4.0) * mp.mpf(math.ulp(b))
+            elif kept % 3 == 1:
+                root = mp.mpf(b) + rng.uniform(0.05, 0.95) * (mp.mpf(c[0]) / -mp.mpf(d[0]) - b)
+            else:
+                root = mp.mpf(b) * rng.uniform(0.1, 0.999)
+            prod = mp.fprod(
+                (mp.mpf(ci) + mp.mpf(di) * root) / mp.mpf(si) for ci, di, si in zip(c, d, s)
+            )
+            if not (isinstance(prod, mp.mpf) and prod > 0):
+                continue  # the root would leave a factor negative
+            # G scales as sigma_last^-r: this sigma puts G's zero at root
+            s[-1] = float(mp.mpf(s[-1]) * prod / root ** (1 / mp.mpf(r)))
+        if 0.0 < s[-1] < math.inf:
+            kept += 1
+            yield [tuple(t) for t in zip(c.tolist(), d.tolist(), s.tolist())], float(r)
+
+
+def clamped_newton(factors, r):
+    """The subnormal path without the boundary test: Newton on rescaled triples, then the clamp."""
+    tau = integrators._newton_root([integrators._rescaled(*triple) for triple in factors], r)
+    for c, d, _ in factors:
+        if not c + d * tau > 0.0:
+            tau = max(integrators._last_positive_tau(c, d), math.ulp(0.0))
+    return tau
 
 
 class TestPhi:
@@ -287,6 +339,53 @@ class TestSolveTau:
         assert 0.0 < tau < root
         assert (c + d * tau > 0.0).all()
         assert (c + d * math.nextafter(tau, math.inf) == 0.0).all()
+
+    def test_boundary_test_gives_the_bits_of_newton_and_clamp(self, monkeypatch):
+        """Where the boundary test settles a solve, Newton would have been clamped to the same bits.
+
+        The draws include roots within a few ulps of the boundary on either
+        side; both the boundary test and the Newton loop must decide some.
+        """
+        newton_loops = []
+        newton_root = integrators._newton_root
+
+        def counted(factors, r):
+            newton_loops.append(1)
+            return newton_root(factors, r)
+
+        monkeypatch.setattr(integrators, "_newton_root", counted)
+        decided = 0
+        for factors, r in boundary_tau_inputs():
+            expected = clamped_newton(factors, r)
+            newton_loops.clear()
+            tau = integrators._newton_tau(factors, r)
+            assert tau.hex() == expected.hex(), (factors, r)
+            decided += not newton_loops
+        assert 50 < decided < 250
+
+    def test_boundary_bound_solve_evaluates_g_once(self, monkeypatch):
+        """gbbks1 on ``paper-stiff?K=1e+06`` from y1 = 2^-1074: G is evaluated at the boundary only.
+
+        The root, about 1/(1 + K*dt), lies near twice the largest tau that
+        keeps the first factor 2^-1074 - K*dt*2^-1074*tau positive.
+        """
+        evaluations = []
+        evaluate = integrators._evaluate
+
+        def counted(factors, r, tau):
+            evaluations.append(tau)
+            return evaluate(factors, r, tau)
+
+        model = PAPER_STIFF.build()
+        y = np.array([math.ulp(0.0), 0.01, 0.99])
+        monkeypatch.setattr(integrators, "_evaluate", counted)
+        nxt = step(model, make_scheme("gbbks1"), y, 1.0)
+        assert len(evaluations) == 1
+        c, d = y[0], -1e6 * y[0]
+        assert nxt.tau == evaluations[0] == integrators._last_positive_tau(c, d)
+        monkeypatch.setattr(integrators, "_evaluate", evaluate)
+        factors = [(ci, di, ci) for ci, di in zip(y.tolist(), model.rhs(y).tolist()) if di < 0.0]
+        assert nxt.tau == clamped_newton(factors, 1.0)
 
     @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
     def test_subnormal_rate_beside_large_component(self, c):
