@@ -17,14 +17,7 @@ from .errors import (
 from .integrators import (
     GbbksStrategy,
     SchemeSpec,
-    StepOutcome,
     Trajectory,
-    euler_step,
-    gbbks1_step,
-    gbbks2_step,
-    geco1_step,
-    geco2_step,
-    heun_step,
     integrate,
     make_scheme,
     phi,

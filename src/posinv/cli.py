@@ -4,7 +4,7 @@ Subcommands::
 
     posinv integrate  --model M --scheme S --dt D --steps N [--alpha A] [--out F]
     posinv stability  --model M --scheme S [--dt D] [--seed K]
-    posinv reproduce  ID [--outdir DIR]
+    posinv reproduce  ID|all [--outdir DIR]
     posinv order      --model M --scheme S --tmax T --dt0 D --levels L [--alpha A] [--out F]
 
 Models are addressed as ``builtin:name?params``, a model-file path, or
@@ -100,14 +100,21 @@ def cmd_stability(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    files, checks = experiments.run_experiment(args.experiment, args.outdir)
-    for check in checks:
-        flag = "PASS" if check.passed else "FAIL"
-        print(f"[{flag}] {check.name}: expected {check.expected} "
-              f"(tol {check.tolerance}), observed {check.observed}")
-    for path in files:
-        print(f"wrote {path}")
-    return EXIT_OK if all(check.passed for check in checks) else EXIT_CHECK_FAILED
+    every = args.experiment == "all"
+    n_fail = 0
+    for exp_id in experiments.EXPERIMENT_IDS if every else (args.experiment,):
+        files, checks = experiments.run_experiment(exp_id, args.outdir)
+        prefix = f"{exp_id:10s} " if every else ""
+        for check in checks:
+            flag = "PASS" if check.passed else "FAIL"
+            n_fail += 0 if check.passed else 1
+            print(f"{prefix}[{flag}] {check.name}: expected {check.expected} "
+                  f"(tol {check.tolerance}), observed {check.observed}")
+        for path in files:
+            print(f"{prefix}wrote {path}")
+    if every:
+        print(f"\n{n_fail} failing checks")
+    return EXIT_CHECK_FAILED if n_fail else EXIT_OK
 
 
 def cmd_order(args) -> int:
@@ -146,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--alpha", type=float, default=None)
     p_st.set_defaults(func=cmd_stability)
 
-    p_rep = sub.add_parser("reproduce", help="run a reference experiment recipe")
-    p_rep.add_argument("experiment", choices=experiments.EXPERIMENT_IDS)
+    p_rep = sub.add_parser("reproduce", help="run a reference experiment recipe, or all of them")
+    p_rep.add_argument("experiment", choices=(*experiments.EXPERIMENT_IDS, "all"))
     p_rep.add_argument("--outdir", default=".")
     p_rep.set_defaults(func=cmd_reproduce)
 

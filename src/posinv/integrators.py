@@ -15,7 +15,7 @@ can run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import IntegrationError, ModelError, NumericsError, PosinvError, So
 class Scheme:
     """One entry of :data:`SCHEMES`.
 
-    ``kernel`` maps (model, y, dt, spec) to (next state, tau, phi_args) and
+    ``kernel`` maps (model, y, dt, spec) to (next state, tau, aux) and
     checks neither.  ``damping`` holds the factors d_k(x), x = dt*trace(S-), of
     the stability polynomial 1 + z*d_1 + z^2/2*d_2 (z = dt*lambda), which at
     dt*A is the steady-state Jacobian on a linear model.
@@ -325,8 +325,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.id not in SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.id!r}; known: {SCHEME_IDS}")
-        if self.id == "gbbks2" and (self.alpha is None or not self.alpha >= 0.5):
-            raise ValueError("gbbks2 requires alpha >= 1/2")
+        if self.id == "gbbks2" and (self.alpha is None or not 0.5 <= self.alpha < math.inf):
+            raise ValueError("gbbks2 requires a finite alpha >= 1/2")
         if self.id in ("gbbks1", "gbbks2") and self.strategy is None:
             raise ValueError(f"{self.id} requires a parameter strategy")
 
@@ -351,24 +351,6 @@ def _check_result(next_state: np.ndarray, tau: float) -> None:
         raise NumericsError(f"product-term factor must be positive, got {tau}")
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """One step of a scheme: the new state plus solver diagnostics.
-
-    ``tau`` is the product-term factor of the gbbks schemes (1 whenever the
-    active set was empty or the scheme has no product term); ``phi_args``
-    records the damping-kernel arguments and flags of the geco schemes.
-    The state is guaranteed finite and tau positive.
-    """
-
-    next_state: np.ndarray
-    tau: float = 1.0
-    phi_args: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_result(self.next_state, self.tau)
-
-
 def _check_step(y, dt: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(dt) and dt > 0.0):
@@ -378,23 +360,39 @@ def _check_step(y, dt: float) -> np.ndarray:
     return y
 
 
-def _euler(model, y: np.ndarray, dt: float, spec):
+def euler_step(model, y: np.ndarray, dt: float, spec):
+    """Explicit Euler step y + dt*f(y); unchecked, :func:`step` is the checked form."""
     return y + dt * model.rhs(y), 1.0, {}
 
 
-def _heun(model, y: np.ndarray, dt: float, spec):
+def heun_step(model, y: np.ndarray, dt: float, spec):
+    """Heun's two-stage step; unchecked, :func:`step` is the checked form."""
     f1 = model.rhs(y)
     f2 = model.rhs(y + dt * f1)
     return y + dt * (0.5 * f1 + 0.5 * f2), 1.0, {}
 
 
-def _geco1(model, y: np.ndarray, dt: float, spec):
+def geco1_step(model, y: np.ndarray, dt: float, spec):
+    """First-order damped step y + dt*phi(dt*sum d_j)*f(y); unchecked.
+
+    For linear models the damping argument is trace(S-) exactly, so the step
+    is (I + Phi(dt) A) y and remains well defined on the boundary of the
+    positive orthant.  :func:`step` is the checked form.
+    """
     arg = dt * model.destruction_rate_sum(y)
     factor = dt * phi(arg)
     return y + factor * model.rhs(y), 1.0, {"arg": arg}
 
 
-def _geco2(model, y: np.ndarray, dt: float, spec):
+def geco2_step(model, y: np.ndarray, dt: float, spec):
+    """Second-order damped step built on a geco1 inner stage; unchecked.
+
+    The outer damping argument is dt * sum_i max(w_i, 0)/y_i; vanishing
+    numerators contribute nothing regardless of y_i, and a positive numerator
+    over a zero component drives the argument to +inf, where the kernel's
+    continuous limit 0 freezes the state for this step (flagged in
+    ``aux['degenerate']``).  :func:`step` is the checked form.
+    """
     inner_arg = dt * model.destruction_rate_sum(y)
     inner_phi = phi(inner_arg)
     f1 = model.rhs(y)
@@ -426,14 +424,22 @@ def _active_solve(y: np.ndarray, slope: np.ndarray, sigma, r: float, label: str)
     return _newton_tau(factors, r)
 
 
-def _gbbks1(model, y: np.ndarray, dt: float, spec):
+def gbbks1_step(model, y: np.ndarray, dt: float, spec):
+    """First-order product-term step; reduces to Euler when f(y) >= 0.
+
+    Unchecked; :func:`step` is the checked form.
+    """
     f = model.rhs(y)
     strategy = spec.strategy
     tau = _active_solve(y, dt * f, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
     return y + dt * f * tau, tau, {}
 
 
-def _gbbks2(model, y: np.ndarray, dt: float, spec):
+def gbbks2_step(model, y: np.ndarray, dt: float, spec):
+    """Two-stage product-term step; reduces to Heun when both active sets are empty.
+
+    Unchecked; :func:`step` is the checked form.
+    """
     alpha, strategy = spec.alpha, spec.strategy
     f1 = model.rhs(y)
     tau_inner = _active_solve(
@@ -447,64 +453,34 @@ def _gbbks2(model, y: np.ndarray, dt: float, spec):
 
 
 SCHEMES = {
-    "euler": Scheme(_euler, (_one,)),
-    "heun": Scheme(_heun, (_one, _one)),
-    "geco1": Scheme(_geco1, (lambda x: phi(x),)),
-    "geco2": Scheme(_geco2, (_one, lambda x: phi(x))),
-    "gbbks1": Scheme(_gbbks1, (_one,)),
-    "gbbks2": Scheme(_gbbks2, (_one, _one)),
+    "euler": Scheme(euler_step, (_one,)),
+    "heun": Scheme(heun_step, (_one, _one)),
+    "geco1": Scheme(geco1_step, (lambda x: phi(x),)),
+    "geco2": Scheme(geco2_step, (_one, lambda x: phi(x))),
+    "gbbks1": Scheme(gbbks1_step, (_one,)),
+    "gbbks2": Scheme(gbbks2_step, (_one, _one)),
 }
 SCHEME_IDS = tuple(SCHEMES)
 
 
-def euler_step(model, y, dt: float) -> StepOutcome:
-    return step(model, SchemeSpec("euler"), y, dt)
+def step(model, scheme: SchemeSpec, y, dt: float) -> tuple[np.ndarray, float, dict]:
+    """One checked step: (next state, tau, aux).
 
-
-def heun_step(model, y, dt: float) -> StepOutcome:
-    return step(model, SchemeSpec("heun"), y, dt)
-
-
-def geco1_step(model, y, dt: float) -> StepOutcome:
-    """First-order damped step y + dt*phi(dt*sum d_j)*f(y).
-
-    For linear models the damping argument is trace(S-) exactly, so the step
-    is (I + Phi(dt) A) y and remains well defined on the boundary of the
-    positive orthant.
+    Validates ``y`` and ``dt``, applies the scheme's kernel and validates its
+    result: the state is finite and tau positive.  ``tau`` is the
+    product-term factor of the gbbks schemes (1 whenever the active set was
+    empty or the scheme has no product term); ``aux`` holds the damping
+    arguments and the degenerate flag of the geco schemes and gbbks2's inner
+    factor ``tau_inner``.
     """
-    return step(model, SchemeSpec("geco1"), y, dt)
-
-
-def geco2_step(model, y, dt: float) -> StepOutcome:
-    """Second-order damped step built on a geco1 inner stage.
-
-    The outer damping argument is dt * sum_i max(w_i, 0)/y_i; vanishing
-    numerators contribute nothing regardless of y_i, and a positive numerator
-    over a zero component drives the argument to +inf, where the kernel's
-    continuous limit 0 freezes the state for this step (flagged in
-    ``phi_args['degenerate']``).
-    """
-    return step(model, SchemeSpec("geco2"), y, dt)
-
-
-def gbbks1_step(model, y, dt: float, strategy: GbbksStrategy) -> StepOutcome:
-    """First-order product-term step; reduces to Euler when f(y) >= 0."""
-    return step(model, SchemeSpec("gbbks1", strategy=strategy), y, dt)
-
-
-def gbbks2_step(model, y, dt: float, alpha: float, strategy: GbbksStrategy) -> StepOutcome:
-    """Two-stage product-term step; reduces to Heun when both active sets are empty."""
-    return step(model, SchemeSpec("gbbks2", alpha=alpha, strategy=strategy), y, dt)
-
-
-def step(model, scheme: SchemeSpec, y, dt: float) -> StepOutcome:
-    """Validate ``y`` and ``dt``, apply the scheme's kernel and validate its result."""
-    return StepOutcome(*SCHEMES[scheme.id].kernel(model, _check_step(y, dt), dt, scheme))
+    y_next, tau, aux = SCHEMES[scheme.id].kernel(model, _check_step(y, dt), dt, scheme)
+    _check_result(y_next, tau)
+    return y_next, tau, aux
 
 
 def step_map(model, scheme: SchemeSpec, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """The map y -> next state, for Jacobian probes and fixed-point studies."""
-    return lambda y: step(model, scheme, y, dt).next_state
+    return lambda y: step(model, scheme, y, dt)[0]
 
 
 @dataclass
@@ -575,7 +551,7 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     # inside the handler, so no local keeps it in a cycle with this frame
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            y = _check_step(y0, dt) if n_steps > 0 else y0
+            y = _check_step(y0, dt)
             last = y.tobytes()
             for done in range(1, n_steps + 1):
                 y, tau, _ = kernel(model, y, dt, scheme)

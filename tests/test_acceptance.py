@@ -23,7 +23,6 @@ import pytest
 
 import posinv
 from posinv import (
-    GbbksStrategy,
     LinearPds,
     integrate,
     make_scheme,
@@ -73,7 +72,7 @@ def test_criterion_03_stability_bifurcation(name):
     y = Y0_5.copy()
     dt = dt_star * (1.0 - 1e-3)
     for n in range(cap):
-        y = step(MODEL_5X5, scheme, y, dt).next_state
+        y = step(MODEL_5X5, scheme, y, dt)[0]
         if np.max(np.abs(y - Y_STAR_5)) < 1e-10:
             break
     else:
@@ -82,7 +81,7 @@ def test_criterion_03_stability_bifurcation(name):
     y = Y_STAR_5 + PERTURBATION
     dt = dt_star * (1.0 + 1e-3)
     for m in range(cap):
-        y = step(MODEL_5X5, scheme, y, dt).next_state
+        y = step(MODEL_5X5, scheme, y, dt)[0]
         if np.max(np.abs(y - Y_STAR_5)) > 1e-4:
             break
     else:
@@ -287,20 +286,16 @@ def test_criterion_09_region_endpoint():
 
 def test_criterion_10_micro_step_oracles():
     y = np.array([2.0, 1.0])
-    out = posinv.geco1_step(UNIT_2X2, y, 1.0)
-    npt.assert_allclose(
-        out.next_state, [1.5676676416183063459, 1.4323323583816936541], atol=1e-10
-    )
-    out = posinv.geco2_step(UNIT_2X2, y, 1.0)
-    npt.assert_allclose(
-        out.next_state, [1.4690693006527240241, 1.5309306993472759759], atol=1e-10
-    )
-    out = posinv.gbbks1_step(UNIT_2X2, y, 1.0, GbbksStrategy.bbks1())
-    npt.assert_allclose(out.next_state, [4.0 / 3.0, 5.0 / 3.0], atol=1e-14)
-    assert abs(out.tau - 2.0 / 3.0) <= 1e-14
-    out = posinv.gbbks2_step(UNIT_2X2, y, 1.0, 1.0, GbbksStrategy.bbks2(1.0))
-    npt.assert_allclose(out.next_state, [8.0 / 5.0, 7.0 / 5.0], atol=1e-14)
-    assert abs(out.tau - 6.0 / 5.0) <= 1e-14
+    y1 = step(UNIT_2X2, make_scheme("geco1"), y, 1.0)[0]
+    npt.assert_allclose(y1, [1.5676676416183063459, 1.4323323583816936541], atol=1e-10)
+    y1 = step(UNIT_2X2, make_scheme("geco2"), y, 1.0)[0]
+    npt.assert_allclose(y1, [1.4690693006527240241, 1.5309306993472759759], atol=1e-10)
+    y1, tau, _ = step(UNIT_2X2, make_scheme("gbbks1"), y, 1.0)
+    npt.assert_allclose(y1, [4.0 / 3.0, 5.0 / 3.0], atol=1e-14)
+    assert abs(tau - 2.0 / 3.0) <= 1e-14
+    y1, tau, _ = step(UNIT_2X2, make_scheme("gbbks2", 1.0), y, 1.0)
+    npt.assert_allclose(y1, [8.0 / 5.0, 7.0 / 5.0], atol=1e-14)
+    assert abs(tau - 6.0 / 5.0) <= 1e-14
     report(10, "worked single-step values reproduced to 1e-10 (rationals to 1e-14)")
 
 

@@ -1,19 +1,12 @@
 """CLI surface: subcommands, CSV format, exit codes, determinism."""
 
-import importlib.util
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from posinv import experiments
 from posinv.cli import EXIT_CHECK_FAILED, main
-
-REPRODUCE_ALL = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
 
 GECO1_RUN = ["integrate", "--model", "builtin:paper-5x5", "--scheme", "geco1",
              "--dt", "1", "--steps", "200"]
@@ -68,6 +61,15 @@ class TestIntegrate:
                            "--dt", "1", "--steps", "1")
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_exits_2(self, capsys, alpha):
+        """A usage error, not a numerical failure in the first step."""
+        code, _, err = run(capsys, "integrate", "--model", "builtin:paper-2x2",
+                           "--scheme", "gbbks2", "--alpha", alpha,
+                           "--dt", "0.1", "--steps", "2")
+        assert code == 2
+        assert "gbbks2 requires a finite alpha >= 1/2" in err
 
     def test_alpha_on_wrong_scheme_exits_2(self, capsys):
         code, _, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
@@ -189,25 +191,29 @@ class TestReproduce:
         assert "[FAIL] forced" in out
 
     @pytest.mark.parametrize("passed,want", [(True, 0), (False, 1)])
-    def test_reproduce_all_script_exit_code(self, capsys, monkeypatch, tmp_path, passed, want):
-        spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE_ALL)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+    def test_reproduce_all_exit_code(self, capsys, monkeypatch, tmp_path, passed, want):
+        """``reproduce all`` runs every experiment and exits 1 when any check fails."""
+        ran = []
         check = experiments.Check("forced", 0.0, 0.0, 0.0, passed)
-        monkeypatch.setattr(script, "run_experiment", lambda exp_id, outdir: ([], [check]))
-        monkeypatch.setattr(sys, "argv", ["reproduce_all.py", str(tmp_path)])
-        assert script.main() == want
-        capsys.readouterr()
 
-    def test_reproduce_all_help_exits_0_and_writes_nothing(self, tmp_path):
-        """``--help`` prints the usage; it is not taken as the output directory."""
-        src = str(REPRODUCE_ALL.parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run([sys.executable, str(REPRODUCE_ALL), "--help"], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("usage: reproduce_all.py [-h] [OUTDIR]")
+        def fake(exp_id, outdir):
+            ran.append(exp_id)
+            return [], [check]
+
+        monkeypatch.setattr(experiments, "run_experiment", fake)
+        code, out, _ = run(capsys, "reproduce", "all", "--outdir", str(tmp_path))
+        assert code == want
+        assert ran == list(experiments.EXPERIMENT_IDS)
+        n_fail = 0 if passed else len(ran)
+        assert out.endswith(f"\n\n{n_fail} failing checks\n")
+        assert f"fig2       [{'PASS' if passed else 'FAIL'}] forced" in out
+
+    def test_reproduce_all_help_exits_0_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        """``--help`` prints the usage; it is not taken as an experiment id."""
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "reproduce", "all", "--help")
+        assert code == 0
+        assert out.startswith("usage: posinv reproduce [-h] [--outdir OUTDIR]")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -379,13 +379,13 @@ class TestSolveTau:
         model = PAPER_STIFF.build()
         y = np.array([math.ulp(0.0), 0.01, 0.99])
         monkeypatch.setattr(integrators, "_evaluate", counted)
-        nxt = step(model, make_scheme("gbbks1"), y, 1.0)
+        _, tau, _ = step(model, make_scheme("gbbks1"), y, 1.0)
         assert len(evaluations) == 1
         c, d = y[0], -1e6 * y[0]
-        assert nxt.tau == evaluations[0] == integrators._last_positive_tau(c, d)
+        assert tau == evaluations[0] == integrators._last_positive_tau(c, d)
         monkeypatch.setattr(integrators, "_evaluate", evaluate)
         factors = [(ci, di, ci) for ci, di in zip(y.tolist(), model.rhs(y).tolist()) if di < 0.0]
-        assert nxt.tau == clamped_newton(factors, 1.0)
+        assert tau == clamped_newton(factors, 1.0)
 
     @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
     def test_subnormal_rate_beside_large_component(self, c):
@@ -402,31 +402,31 @@ class TestSolveTau:
 
 class TestSingleSteps:
     def test_geco1_worked_example(self):
-        out = posinv.geco1_step(UNIT_2X2, Y21, 1.0)
-        npt.assert_allclose(out.next_state, GECO1_STEP, atol=1e-14)
-        assert out.phi_args["arg"] == 2.0
+        y1, _, aux = step(UNIT_2X2, make_scheme("geco1"), Y21, 1.0)
+        npt.assert_allclose(y1, GECO1_STEP, atol=1e-14)
+        assert aux["arg"] == 2.0
 
     def test_geco2_worked_example(self):
-        out = posinv.geco2_step(UNIT_2X2, Y21, 1.0)
-        npt.assert_allclose(out.next_state, GECO2_STEP, atol=1e-14)
-        npt.assert_allclose(out.phi_args["arg"], 0.13533528323661269189, rtol=1e-13)
-        assert not out.phi_args["degenerate"]
+        y1, _, aux = step(UNIT_2X2, make_scheme("geco2"), Y21, 1.0)
+        npt.assert_allclose(y1, GECO2_STEP, atol=1e-14)
+        npt.assert_allclose(aux["arg"], 0.13533528323661269189, rtol=1e-13)
+        assert not aux["degenerate"]
 
     def test_gbbks1_worked_example(self):
-        out = posinv.gbbks1_step(UNIT_2X2, Y21, 1.0, GbbksStrategy.bbks1())
-        npt.assert_allclose(out.next_state, [4.0 / 3.0, 5.0 / 3.0], atol=1e-14)
-        assert out.tau == pytest.approx(2.0 / 3.0, abs=1e-14)
+        y1, tau, _ = step(UNIT_2X2, make_scheme("gbbks1"), Y21, 1.0)
+        npt.assert_allclose(y1, [4.0 / 3.0, 5.0 / 3.0], atol=1e-14)
+        assert tau == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_gbbks2_worked_example(self):
-        out = posinv.gbbks2_step(UNIT_2X2, Y21, 1.0, 1.0, GbbksStrategy.bbks2(1.0))
-        npt.assert_allclose(out.next_state, [8.0 / 5.0, 7.0 / 5.0], atol=1e-14)
-        assert out.tau == pytest.approx(6.0 / 5.0, abs=1e-14)
-        assert out.phi_args["tau_inner"] == pytest.approx(2.0 / 3.0, abs=1e-14)
+        y1, tau, aux = step(UNIT_2X2, make_scheme("gbbks2", 1.0), Y21, 1.0)
+        npt.assert_allclose(y1, [8.0 / 5.0, 7.0 / 5.0], atol=1e-14)
+        assert tau == pytest.approx(6.0 / 5.0, abs=1e-14)
+        assert aux["tau_inner"] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_euler_and_heun_worked_examples(self):
-        npt.assert_array_equal(posinv.euler_step(UNIT_2X2, Y21, 1.0).next_state, [1.0, 2.0])
+        npt.assert_array_equal(step(UNIT_2X2, make_scheme("euler"), Y21, 1.0)[0], [1.0, 2.0])
         # A + A^2/2 vanishes for this matrix at dt = 1, so Heun returns y
-        npt.assert_array_equal(posinv.heun_step(UNIT_2X2, Y21, 1.0).next_state, Y21)
+        npt.assert_array_equal(step(UNIT_2X2, make_scheme("heun"), Y21, 1.0)[0], Y21)
 
     def test_heun_matches_matrix_polynomial(self):
         """Two-stage evaluation equals I + dt*A + (dt*A)^2/2 on linear models."""
@@ -435,7 +435,7 @@ class TestSingleSteps:
         y = np.array([0.8, 2.2])
         for dt in (0.25, 0.5, 1.5):
             want = y + dt * (a @ y) + 0.5 * dt * dt * (a @ (a @ y))
-            npt.assert_allclose(posinv.heun_step(model, y, dt).next_state, want, rtol=1e-14)
+            npt.assert_allclose(step(model, make_scheme("heun"), y, dt)[0], want, rtol=1e-14)
 
     @pytest.mark.parametrize("name", ["euler", "heun", "geco1", "geco2", "gbbks1", "gbbks2"])
     @pytest.mark.parametrize("model,kernel", [
@@ -446,41 +446,39 @@ class TestSingleSteps:
         scheme = make_scheme(name)
         for scale in (0.3, 1.0, 2.7):
             v = scale * kernel
-            out = step(model, scheme, v, 1.0)
-            npt.assert_allclose(out.next_state, v, atol=1e-14 * scale)
+            npt.assert_allclose(step(model, scheme, v, 1.0)[0], v, atol=1e-14 * scale)
 
     def test_gbbks1_empty_set_is_euler_bitwise(self):
         model = production_only_model()
         y = np.array([0.4, 1.7])
         for dt in (0.3, 2.0):
-            ours = posinv.gbbks1_step(model, y, dt, GbbksStrategy.bbks1())
-            assert ours.tau == 1.0
-            npt.assert_array_equal(ours.next_state, posinv.euler_step(model, y, dt).next_state)
+            ours, tau, _ = step(model, make_scheme("gbbks1"), y, dt)
+            assert tau == 1.0
+            npt.assert_array_equal(ours, step(model, make_scheme("euler"), y, dt)[0])
 
     def test_gbbks2_empty_sets_match_underlying_two_stage(self):
         model = production_only_model()
         y = np.array([0.4, 1.7])
-        strategy = GbbksStrategy.bbks2(1.0)
         for dt in (0.3, 2.0):
-            ours = posinv.gbbks2_step(model, y, dt, 1.0, strategy)
-            npt.assert_array_equal(ours.next_state, posinv.heun_step(model, y, dt).next_state)
+            ours = step(model, make_scheme("gbbks2", 1.0), y, dt)[0]
+            npt.assert_array_equal(ours, step(model, make_scheme("heun"), y, dt)[0])
         # alpha != 1: compare against the underlying two-stage method directly
         alpha = 0.75
         f1 = model.rhs(y)
         y2 = y + (alpha * 2.0) * f1 * 1.0
         fbar = (1.0 - 1.0 / (2 * alpha)) * f1 + (1.0 / (2 * alpha)) * model.rhs(y2)
         want = y + 2.0 * fbar * 1.0
-        got = posinv.gbbks2_step(model, y, 2.0, alpha, GbbksStrategy.bbks2(alpha))
-        npt.assert_array_equal(got.next_state, want)
+        got = step(model, make_scheme("gbbks2", alpha), y, 2.0)[0]
+        npt.assert_array_equal(got, want)
 
     def test_geco_on_nonlinear_model(self):
         """Damping argument is dt * sum of rates; here sum d = 2*y2."""
         model = nonlinear_model()
         y = np.array([1.0, 2.0])
-        out = posinv.geco1_step(model, y, 0.5)
+        y1 = step(model, make_scheme("geco1"), y, 0.5)[0]
         factor = 0.5 * phi(0.5 * 4.0)
-        npt.assert_allclose(out.next_state, y + factor * model.rhs(y), rtol=1e-15)
-        npt.assert_allclose(out.next_state, [1.0 + PHI_2, 2.0 - PHI_2], rtol=1e-14)
+        npt.assert_allclose(y1, y + factor * model.rhs(y), rtol=1e-15)
+        npt.assert_allclose(y1, [1.0 + PHI_2, 2.0 - PHI_2], rtol=1e-14)
 
     def test_geco2_degenerate_boundary_freezes_state(self):
         """w component positive over a zero state entry: step is the identity.
@@ -496,17 +494,16 @@ class TestSingleSteps:
             destruction_rate=rate,
         )
         y = np.array([0.0, 1.0])
-        out = posinv.geco2_step(model, y, 1.0)
-        assert out.phi_args["degenerate"]
-        assert out.phi_args["arg"] == math.inf
-        npt.assert_array_equal(out.next_state, y)
+        y1, _, aux = step(model, make_scheme("geco2"), y, 1.0)
+        assert aux["degenerate"]
+        assert aux["arg"] == math.inf
+        npt.assert_array_equal(y1, y)
 
     def test_gbbks_boundary_start_lifts_off(self):
         """Zero components with inflow leave the boundary in one step."""
         y0 = np.array([0.0, 3.0, 3.0, 3.0, 4.0])
         for name in ("gbbks1", "gbbks2"):
-            out = step(MODEL_5X5, make_scheme(name), y0, 0.29)
-            assert np.all(out.next_state > 0.0)
+            assert np.all(step(MODEL_5X5, make_scheme(name), y0, 0.29)[0] > 0.0)
 
     def test_robertson_boundary_start(self):
         """(1, 0, 0) is outside the positive-data precondition on this nonlinear model.
@@ -516,7 +513,7 @@ class TestSingleSteps:
         """
         model = robertson_model()
         y0 = np.array([1.0, 0.0, 0.0])
-        assert posinv.geco2_step(model, y0, 1e-2).phi_args["degenerate"] is True
+        assert step(model, make_scheme("geco2"), y0, 1e-2)[2]["degenerate"] is True
         traj = integrate(model, make_scheme("geco2"), y0, 1e-2, 10)
         assert traj.states.tolist() == [[1.0, 0.0, 0.0]] * 11
         with pytest.raises(IntegrationError, match=r"^step 1 of gbbks2 failed") as err:
@@ -545,13 +542,18 @@ class TestSingleSteps:
             q=lambda y: 1.0,
         )
         with pytest.raises(ModelError):
-            posinv.gbbks1_step(UNIT_2X2, Y21, 1.0, bad)
+            step(UNIT_2X2, SchemeSpec("gbbks1", strategy=bad), Y21, 1.0)
 
 
 class TestSchemeSpec:
     def test_alpha_constraint(self):
         with pytest.raises(ValueError):
             make_scheme("gbbks2", alpha=0.4)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite alpha"):
+                make_scheme("gbbks2", alpha=alpha)
+            with pytest.raises(ValueError, match="finite alpha"):
+                SchemeSpec("gbbks2", alpha=alpha, strategy=GbbksStrategy.bbks2(1.0))
         assert make_scheme("gbbks2", alpha=0.5).alpha == 0.5
         assert make_scheme("gbbks2").alpha == 1.0
 
@@ -668,13 +670,15 @@ class TestIntegrate:
             integrate(UNIT_2X2, make_scheme("euler"), Y21, 1.0, -1)
         with pytest.raises(TypeError):
             integrate(UNIT_2X2, make_scheme("euler"), Y21, 1.0, 2.5)
-        for y0, dt in (([np.nan, 1.0], 1.0), (Y21, 0.0), (Y21, np.inf)):
+        bad = (([np.nan, 1.0], 1.0), (Y21, 0.0), (Y21, -1.0), (Y21, np.inf))
+        # zero steps check y0 and dt too, rather than return a trajectory of them
+        for (y0, dt), n_steps in itertools.product(bad, (0, 3)):
             with pytest.raises(IntegrationError, match="^step 1 of euler failed") as err:
-                integrate(UNIT_2X2, make_scheme("euler"), y0, dt, 3)
+                integrate(UNIT_2X2, make_scheme("euler"), y0, dt, n_steps)
             assert isinstance(err.value.cause, ValueError)
             assert len(err.value.trajectory) == 1
         with pytest.raises(ValueError):
-            posinv.euler_step(UNIT_2X2, Y21, 0.0)
+            step(UNIT_2X2, make_scheme("euler"), Y21, 0.0)
 
     def test_nonlinear_model_conserves_mass(self):
         model = nonlinear_model()
@@ -687,7 +691,7 @@ def stepped_states(model, scheme, y0, dt, n_steps):
     """The states of ``n_steps`` calls of the public, checked ``step``."""
     states = [np.asarray(y0, dtype=float)]
     for _ in range(n_steps):
-        states.append(step(model, scheme, states[-1], dt).next_state)
+        states.append(step(model, scheme, states[-1], dt)[0])
     return np.array(states)
 
 
@@ -761,3 +765,20 @@ def test_signed_zero_flip_is_not_a_fixed_point(monkeypatch):
     assert len(calls) == 6
     assert (traj.states == [[1.0, 0.0]] * 7).all()
     assert [math.copysign(1.0, v) for v in traj.states[:, 1]] == [1.0, -1.0] * 3 + [1.0]
+
+
+def test_gbbks2_settles_at_a_spurious_fixed_point_above_dt_star():
+    """gbbks2 on ``paper-5x5`` at 1.2*dt* stops at a state that is not steady.
+
+    From (1, 2, 3, 4, 5) state 93 maps to itself bit for bit.  There
+    dt*tau_inner*lambda = -2 for lambda = -(5 + sqrt(3)), the eigenvalue that
+    sets dt*: the inner stage's slope is then -f(y), so the averaged slope
+    (alpha = 1) vanishes and the step returns its input.
+    """
+    scheme = make_scheme("gbbks2")
+    dt = 1.2 * stability.critical_step(MODEL_5X5, scheme).dt_star
+    y = integrate(MODEL_5X5, scheme, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt, 300).states[93]
+    assert np.max(np.abs(MODEL_5X5.a @ y)) > 0.5
+    y_next, _, aux = step(MODEL_5X5, scheme, y, dt)
+    assert y_next.tobytes() == y.tobytes()
+    assert dt * aux["tau_inner"] * -(5.0 + math.sqrt(3.0)) == pytest.approx(-2.0, abs=1e-12)
