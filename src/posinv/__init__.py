@@ -26,8 +26,6 @@ from .integrators import (
     step_map,
 )
 from .linalg import (
-    Spectrum,
-    SystemReport,
     eigenvalues,
     expm_apply,
     nullspace,
@@ -40,7 +38,6 @@ from .pds import (
     load_model,
     parse_model,
     serialize_model,
-    split_metzler,
     steady_state_for,
 )
 from .stability import (

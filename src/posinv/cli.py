@@ -33,16 +33,16 @@ EXIT_USAGE = 2
 EXIT_NUMERICS = 3
 
 
-def _resolve_model(address: str, seed: int) -> tuple[LinearPds, np.ndarray, str]:
+def _resolve_model(address: str, seed: int) -> tuple[LinearPds, np.ndarray]:
     if address.startswith("random:"):
         try:
             n = int(address.split(":", 1)[1])
         except ValueError as exc:
             raise ModelError(f"bad random model address {address!r}") from exc
         model = stability.random_conservative_system(seed, n)
-        return model, np.ones(n), address
+        return model, np.ones(n)
     doc = load_model(address)
-    return doc.build(), doc.y0, doc.builtin or "file"
+    return doc.build(), doc.y0
 
 
 def _positive_float(text: str) -> float:
@@ -61,7 +61,7 @@ def _emit(path: str | None, header, rows) -> None:
 
 
 def cmd_integrate(args) -> int:
-    model, y0, _ = _resolve_model(args.model, args.seed)
+    model, y0 = _resolve_model(args.model, args.seed)
     scheme = make_scheme(args.scheme, args.alpha)
     traj = integrate(model, scheme, y0, dt=args.dt, n_steps=args.steps)
     header = experiments.state_header(model.dimension, False)[:-1] + ["err"]
@@ -70,7 +70,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    model, y0, _ = _resolve_model(args.model, args.seed)
+    model, y0 = _resolve_model(args.model, args.seed)
     scheme = make_scheme(args.scheme, args.alpha)
     crit = stability.critical_step(model, scheme)
     if crit.unconditional:
@@ -118,7 +118,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_order(args) -> int:
-    model, y0, _ = _resolve_model(args.model, args.seed)
+    model, y0 = _resolve_model(args.model, args.seed)
     scheme = make_scheme(args.scheme, args.alpha)
     if args.levels < 1:
         raise ModelError("--levels must be >= 1")

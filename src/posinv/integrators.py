@@ -325,10 +325,15 @@ class SchemeSpec:
     def __post_init__(self):
         if self.id not in SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.id!r}; known: {SCHEME_IDS}")
-        if self.id == "gbbks2" and (self.alpha is None or not 0.5 <= self.alpha < math.inf):
-            raise ValueError("gbbks2 requires a finite alpha >= 1/2")
+        if self.id == "gbbks2":
+            _check_alpha(self.alpha)
         if self.id in ("gbbks1", "gbbks2") and self.strategy is None:
             raise ValueError(f"{self.id} requires a parameter strategy")
+
+
+def _check_alpha(alpha: float | None) -> None:
+    if alpha is None or not 0.5 <= alpha < math.inf:
+        raise ValueError("gbbks2 requires a finite alpha >= 1/2")
 
 
 def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
@@ -337,6 +342,7 @@ def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
         return SchemeSpec("gbbks1", strategy=GbbksStrategy.bbks1())
     if name == "gbbks2":
         a = 1.0 if alpha is None else float(alpha)
+        _check_alpha(a)  # before bbks2 divides by it
         return SchemeSpec("gbbks2", alpha=a, strategy=GbbksStrategy.bbks2(a))
     if alpha is not None:
         raise ValueError(f"scheme {name!r} does not take alpha")

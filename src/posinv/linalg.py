@@ -1,25 +1,23 @@
 """Small dense real linear algebra for the integrator and stability toolkit.
 
 Everything here operates on plain numpy arrays at desk scale (N <= 64):
-eigenvalues, numerical kernels, matrix exponential action, and structural
-validation of conservative Metzler systems (zero-row-sum invariants are not
-assumed; invariants come from ker(A^T)).
+eigenvalues, numerical kernels, matrix exponential action, and the one
+admissibility check of conservative Metzler systems (zero-row-sum invariants
+are not assumed; invariants come from ker(A^T)).
 
 All functions are pure; arrays are never mutated in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ModelError, NumericsError
 
 MAX_DIM = 64
 
-#: Relative rank tolerance used when callers do not supply one.
-DEFAULT_RANK_TOL = 1e-10
+#: Relative tolerance below which a pivot or an eigenvalue counts as zero.
+RANK_TOL = 1e-10
 
 
 def _as_square(a) -> np.ndarray:
@@ -31,31 +29,8 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of a real matrix, with the tolerance they were verified at.
-
-    ``values`` holds complex eigenvalues; conjugate pairs are exact for real
-    input.
-    """
-
-    values: np.ndarray
-    convergence_tol: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    def nonzero(self, scale: float, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Eigenvalues with modulus above ``tol * scale``."""
-        vals = self.values
-        return vals[np.abs(vals) > tol * max(scale, 1e-300)]
-
-    def zero_count(self, scale: float, tol: float = DEFAULT_RANK_TOL) -> int:
-        return int(np.sum(np.abs(self.values) <= tol * max(scale, 1e-300)))
-
-
-def eigenvalues(a) -> Spectrum:
-    """All eigenvalues of a square real matrix.
+def eigenvalues(a) -> np.ndarray:
+    """All eigenvalues of a square real matrix, as a complex array.
 
     Delegates to the LAPACK nonsymmetric QR driver (Hessenberg reduction
     followed by shifted QR with 2x2-block deflation).  Non-convergence is
@@ -71,27 +46,20 @@ def eigenvalues(a) -> Spectrum:
         raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         raise NumericsError("eigenvalue computation produced non-finite values")
-    tol = 1e-12 * max(np.linalg.norm(a, "fro"), 1.0)
-    return Spectrum(values=vals, convergence_tol=tol)
+    return np.asarray(vals, dtype=complex)
 
 
-def nullspace(a, rank_tol: float | None = None) -> list[np.ndarray]:
+def nullspace(a) -> list[np.ndarray]:
     """Basis of the numerical kernel of ``a`` via elimination with partial pivoting.
 
     Returns one vector per free column of the row-reduced matrix, each scaled
     to unit max-norm.  The same routine serves ker(A) and, applied to ``a.T``,
-    the invariant rows ker(A^T).  Entries below ``rank_tol * ||A||_inf`` are
-    treated as zero; the default tolerance suits well-separated desk-scale
-    matrices.
+    the invariant rows ker(A^T).  Entries below ``RANK_TOL * ||A||_inf`` are
+    treated as zero, which suits well-separated desk-scale matrices.
     """
     a = _as_square(a)
     n = a.shape[0]
-    norm = np.linalg.norm(a, np.inf)
-    if rank_tol is None:
-        rank_tol = DEFAULT_RANK_TOL
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    thresh = rank_tol * max(norm, 1.0)
+    thresh = RANK_TOL * max(np.linalg.norm(a, np.inf), 1.0)
 
     m = a.copy()
     pivot_cols: list[int] = []
@@ -182,63 +150,37 @@ def expm_apply(a, y0, t: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SystemReport:
-    """Structural validation of a candidate conservative Metzler system.
+def validate_system(a) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Accept a conservative Metzler matrix or raise :class:`ModelError`.
 
-    ``admissible`` is the conjunction of every flag: nonzero Metzler matrix
-    whose zero eigenvalue has matching algebraic and geometric multiplicity
-    k >= 1, whose spectrum lies in the closed left half-plane, and which has
-    at least one negative diagonal entry.  It keeps the :func:`nullspace`
-    basis of ker(A) and the eigenvalues above the rank tolerance.
+    The class: a Metzler matrix with a negative diagonal entry, whose zero
+    eigenvalue has matching algebraic and geometric multiplicity k >= 1,
+    whose spectrum lies in the closed left half-plane, and which has a
+    linear invariant.  Returns the invariant rows spanning ker(A^T), the
+    :func:`nullspace` basis of ker(A) and the eigenvalues above the rank
+    tolerance.
     """
-
-    metzler: bool
-    nonzero: bool
-    zero_algebraic_multiplicity: int
-    multiplicities_match: bool
-    spectrum_nonpositive: bool
-    proper_metzler: bool
-    kernel_basis: list[np.ndarray] = field(repr=False)
-    nonzero_eigenvalues: np.ndarray = field(repr=False)
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel_basis)
-
-    @property
-    def admissible(self) -> bool:
-        return (
-            self.metzler
-            and self.nonzero
-            and self.kernel_dim >= 1
-            and self.multiplicities_match
-            and self.spectrum_nonpositive
-            and self.proper_metzler
-        )
-
-
-def validate_system(a) -> SystemReport:
-    """Check the structural flags of the conservative Metzler system class."""
     a = _as_square(a)
+    if np.any(a - np.diag(np.diag(a)) < 0.0):
+        raise ModelError("matrix is not Metzler")
     norm = np.linalg.norm(a, np.inf)
-    off = a - np.diag(np.diag(a))
-    metzler = bool(np.all(off >= 0.0))
-    nonzero = bool(np.any(a != 0.0))
-    spec = eigenvalues(a)
+    vals = eigenvalues(a)
     basis = nullspace(a)
-    alg = spec.zero_count(norm)
+    is_zero = np.abs(vals) <= RANK_TOL * max(norm, 1e-300)
+    nonzero = vals[~is_zero]
+    multiplicities_match = int(np.sum(is_zero)) == len(basis)
     # eigenvalues with tiny positive real part from roundoff still count as nonpositive
-    nonz = spec.nonzero(norm)
-    spectrum_nonpositive = bool(np.all(nonz.real <= DEFAULT_RANK_TOL * max(norm, 1.0)))
-    proper = metzler and bool(np.any(np.diag(a) < 0.0))
-    return SystemReport(
-        metzler=metzler,
-        nonzero=nonzero,
-        zero_algebraic_multiplicity=alg,
-        multiplicities_match=(alg == len(basis)),
-        spectrum_nonpositive=spectrum_nonpositive,
-        proper_metzler=proper,
-        kernel_basis=basis,
-        nonzero_eigenvalues=nonz,
-    )
+    spectrum_nonpositive = bool(np.all(nonzero.real <= RANK_TOL * max(norm, 1.0)))
+    proper_metzler = bool(np.any(np.diag(a) < 0.0))
+    if not (basis and multiplicities_match and spectrum_nonpositive and proper_metzler):
+        raise ModelError(
+            "matrix is outside the conservative Metzler class: "
+            f"kernel_dim={len(basis)}, "
+            f"multiplicities_match={multiplicities_match}, "
+            f"spectrum_nonpositive={spectrum_nonpositive}, "
+            f"proper_metzler={proper_metzler}"
+        )
+    rows = nullspace(a.T)
+    if not rows:
+        raise ModelError("matrix has no linear invariants (trivial ker(A^T))")
+    return np.array(rows), basis, nonzero

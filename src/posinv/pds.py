@@ -2,12 +2,13 @@
 
 Each model flavour answers for its own arithmetic: ``rhs(y)`` and
 ``destruction_rate_sum(y)`` are methods the step kernels call.
-``LinearPds.from_matrix`` analyses a conservative Metzler matrix A once and
-stores what the integrators and the stability toolkit read: the invariant
-rows spanning ker(A^T), a kernel basis, the nonzero eigenvalues and trace(S-)
-of the split A = S+ - S- (S- diagonal).  ``GeneralPds`` carries callables for
-production terms and destruction *rates* d with f^[D]_j(y) = d_j(y) * y_j, so
-the ratio sums stay defined on the boundary of the positive orthant.
+``LinearPds.from_matrix`` has ``linalg.validate_system`` accept a matrix A
+once and stores what the integrators and the stability toolkit read: the
+invariant rows spanning ker(A^T), a kernel basis, the nonzero eigenvalues and
+trace(S-) of the split A = S+ - S- (S- diagonal).  ``GeneralPds`` carries
+callables for production terms and destruction *rates* d with
+f^[D]_j(y) = d_j(y) * y_j, so the ratio sums stay defined on the boundary of
+the positive orthant.
 
 Model files are line-oriented UTF-8 (see :func:`parse_model`); the builtin
 registry hard-codes the reference problems with exact integer entries.
@@ -25,21 +26,6 @@ from . import linalg
 from .errors import ModelError, NumericsError
 
 
-def split_metzler(a) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative split A = S+ - S- with S- diagonal.
-
-    (S-)_jj = max(-a_jj, 0) and S+ = A + S-; both factors are entrywise
-    nonnegative.  Rejects non-Metzler input.
-    """
-    a = np.asarray(a, dtype=float)
-    off = a - np.diag(np.diag(a))
-    if np.any(off < 0.0):
-        raise ModelError("matrix is not Metzler: negative off-diagonal entry")
-    s_minus = np.diag(np.maximum(-np.diag(a), 0.0))
-    s_plus = a + s_minus
-    return s_plus, s_minus
-
-
 @dataclass(frozen=True)
 class LinearPds:
     """Linear production-destruction system y' = A y with A conservative Metzler."""
@@ -53,25 +39,12 @@ class LinearPds:
     @classmethod
     def from_matrix(cls, a) -> "LinearPds":
         a = np.asarray(a, dtype=float)
-        report = linalg.validate_system(a)
-        if not report.metzler:
-            raise ModelError("matrix is not Metzler")
-        if not report.admissible:
-            raise ModelError(
-                "matrix is outside the conservative Metzler class: "
-                f"kernel_dim={report.kernel_dim}, "
-                f"multiplicities_match={report.multiplicities_match}, "
-                f"spectrum_nonpositive={report.spectrum_nonpositive}, "
-                f"proper_metzler={report.proper_metzler}"
-            )
-        rows = linalg.nullspace(a.T)
-        if not rows:
-            raise ModelError("matrix has no linear invariants (trivial ker(A^T))")
+        rows, basis, lams = linalg.validate_system(a)
         return cls(
             a=a,
-            invariant_rows=np.array(rows),
-            kernel_basis=report.kernel_basis,
-            nonzero_eigenvalues=report.nonzero_eigenvalues,
+            invariant_rows=rows,
+            kernel_basis=basis,
+            nonzero_eigenvalues=lams,
             trace_s_minus=float(np.maximum(-np.diag(a), 0.0).sum()),
         )
 

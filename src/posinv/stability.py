@@ -26,7 +26,7 @@ band stays inconclusive rather than guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -156,18 +156,18 @@ def unconditional_certificate(model: LinearPds) -> Certificate:
     )
 
 
-def numerical_jacobian(step_fn: Callable, y_star, h: float = 1e-6) -> np.ndarray:
+def numerical_jacobian(step_fn: Callable, y_star) -> np.ndarray:
     """Central-difference Jacobian of a step map.
 
-    Per-coordinate probe step h * |y*_i| (a zero step raises ValueError): the
-    step maps' curvature grows like dt / y*_i.  They are C^1 with Lipschitz
-    first derivatives but not C^2, so expect O(h) accuracy, not O(h^2).
+    Per-coordinate probe step h_i = 1e-6 * |y*_i| (a zero step raises
+    ValueError): the step maps' curvature grows like dt / y*_i.  They are C^1 with Lipschitz
+    first derivatives but not C^2, so expect O(h_i) accuracy, not O(h_i^2).
     """
     y_star = np.asarray(y_star, dtype=float)
     n = y_star.size
     jac = np.empty((n, n))
     for i in range(n):
-        hi = h * abs(y_star[i])
+        hi = 1e-6 * abs(y_star[i])
         if hi == 0.0:
             raise ValueError(f"probe step for entry {i} is zero; y* must have nonzero entries")
         up = y_star.copy()
@@ -192,8 +192,6 @@ def closed_form_jacobian(model: LinearPds, scheme, dt: float) -> np.ndarray:
 class StabilityReport:
     """Spectral classification of a steady state as a fixed point of a scheme."""
 
-    jacobian: np.ndarray = field(repr=False)
-    spectrum: linalg.Spectrum
     kernel_count: int
     non_kernel_radius: float
     verdict: str  # stable | unstable | inconclusive
@@ -219,17 +217,17 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float) -> Stabili
 
     jac = closed_form_jacobian(model, scheme, dt)
     spec_obj = scheme if isinstance(scheme, SchemeSpec) else make_scheme(scheme)
-    fd = numerical_jacobian(step_map(model, spec_obj, dt), y_star, h=1e-6)
+    fd = numerical_jacobian(step_map(model, spec_obj, dt), y_star)
     gap = float(np.max(np.abs(fd - jac)))
     if gap > 1e-3 * max(1.0, float(np.max(np.abs(jac)))):
         raise NumericsError(
             f"closed-form and finite-difference Jacobians disagree by {gap:.3e}"
         )
 
-    spec = linalg.eigenvalues(jac)
-    near_one = np.abs(spec.values - 1.0) <= KERNEL_WINDOW
+    vals = linalg.eigenvalues(jac)
+    near_one = np.abs(vals - 1.0) <= KERNEL_WINDOW
     kernel_count = int(np.sum(near_one))
-    rest = spec.values[~near_one]
+    rest = vals[~near_one]
     radius = float(np.max(np.abs(rest))) if rest.size else 0.0
 
     expected_k = len(model.kernel_basis)
@@ -241,13 +239,7 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float) -> Stabili
         verdict = "unstable"
     else:
         verdict = "inconclusive"
-    return StabilityReport(
-        jacobian=jac,
-        spectrum=spec,
-        kernel_count=kernel_count,
-        non_kernel_radius=radius,
-        verdict=verdict,
-    )
+    return StabilityReport(kernel_count=kernel_count, non_kernel_radius=radius, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from posinv import (
     integrate,
     make_scheme,
     phi,
-    steady_state_for,
     step,
 )
 from posinv import stability
@@ -93,8 +92,8 @@ def test_criterion_04_geco1_unconditional_stability():
     models = [MODEL_5X5]
     models += [stability.random_conservative_system(seed, 2 + seed % 7) for seed in range(200)]
     for model in models:
-        spectrum = posinv.eigenvalues(model.a)
-        lams = spectrum.nonzero(np.linalg.norm(model.a, np.inf))
+        lams = posinv.eigenvalues(model.a)
+        lams = lams[np.abs(lams) > 1e-10 * max(np.linalg.norm(model.a, np.inf), 1e-300)]
         cert = stability.unconditional_certificate(model)
         assert cert.holds
         for dt in (1e-3, 1.0, 1e3, 1e6):
@@ -112,7 +111,7 @@ def test_criterion_05_jacobian_oracle_equivalence():
         for name in ("geco1", "geco2", "gbbks1", "gbbks2"):
             scheme = make_scheme(name)
             closed = stability.closed_form_jacobian(model, scheme, dt)
-            probed = stability.numerical_jacobian(step_map(model, scheme, dt), y_star, h=1e-6)
+            probed = stability.numerical_jacobian(step_map(model, scheme, dt), y_star)
             gap = float(np.max(np.abs(probed - closed)))
             assert gap <= 1e-4, (name, model.dimension, gap)
     report(5, "finite-difference Jacobians match the closed forms entrywise "

@@ -56,11 +56,14 @@ class TestIntegrate:
         assert b"\r" not in a.read_bytes()
 
     def test_invalid_alpha_exits_2(self, capsys):
-        code, _, err = run(capsys, "integrate", "--model", "builtin:paper-2x2",
-                           "--scheme", "gbbks2", "--alpha", "0.4",
-                           "--dt", "1", "--steps", "1")
-        assert code == 2
-        assert "alpha" in err
+        """Alpha is checked before the gbbks2 preset divides by it, in both commands."""
+        for alpha in ("0.4", "0"):
+            for command in (["integrate", "--steps", "1"], ["stability"]):
+                code, _, err = run(capsys, command[0], "--model", "builtin:paper-2x2",
+                                   "--scheme", "gbbks2", "--alpha", alpha, "--dt", "1",
+                                   *command[1:])
+                assert code == 2
+                assert "gbbks2 requires a finite alpha >= 1/2" in err
 
     @pytest.mark.parametrize("alpha", ["inf", "nan"])
     def test_non_finite_alpha_exits_2(self, capsys, alpha):

@@ -549,7 +549,7 @@ class TestSchemeSpec:
     def test_alpha_constraint(self):
         with pytest.raises(ValueError):
             make_scheme("gbbks2", alpha=0.4)
-        for alpha in (math.inf, math.nan):
+        for alpha in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite alpha"):
                 make_scheme("gbbks2", alpha=alpha)
             with pytest.raises(ValueError, match="finite alpha"):

@@ -1,4 +1,4 @@
-"""Eigenvalues, kernels, exponential action, structural validation.
+"""Eigenvalues, kernels, exponential action, admissibility of a system.
 
 Expected values come from closed forms (the 2x2 family has spectrum
 {0, -(a*c+b)}), from exact rational elimination on the integer 5x5 matrix,
@@ -15,7 +15,8 @@ import pytest
 import scipy.linalg
 
 from posinv import linalg
-from posinv.errors import NumericsError
+from posinv.errors import ModelError, NumericsError
+from posinv.pds import LinearPds
 
 RNG = np.random.default_rng(42)
 
@@ -75,19 +76,17 @@ class TestEigenvalues:
     @pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 1, 0.5), (0.3, 4, 2)])
     def test_two_by_two_closed_form(self, a, b, c):
         """Spectrum of the 2x2 family is {0, -(a*c+b)}."""
-        spec = linalg.eigenvalues(two_by_two(a, b, c))
-        got = sorted(spec.values.real)
+        vals = linalg.eigenvalues(two_by_two(a, b, c))
+        got = sorted(vals.real)
         npt.assert_allclose(got, [-(a * c + b), 0.0], atol=1e-10)
-        npt.assert_allclose(spec.values.imag, 0.0, atol=1e-10)
+        npt.assert_allclose(vals.imag, 0.0, atol=1e-10)
 
     def test_identity(self):
-        spec = linalg.eigenvalues(np.eye(3))
-        npt.assert_allclose(spec.values, np.ones(3), atol=1e-12)
+        npt.assert_allclose(linalg.eigenvalues(np.eye(3)), np.ones(3), atol=1e-12)
 
     def test_five_by_five_closed_form(self):
         """{0, -5-sqrt(3), -5+sqrt(3), -5-i, -5+i} to 1e-10."""
-        spec = linalg.eigenvalues(FIVE)
-        got = sorted(spec.values, key=lambda z: (round(z.real, 6), z.imag))
+        got = sorted(linalg.eigenvalues(FIVE), key=lambda z: (round(z.real, 6), z.imag))
         want = sorted(
             [0, -5 - math.sqrt(3), -5 + math.sqrt(3), complex(-5, -1), complex(-5, 1)],
             key=lambda z: (round(np.real(z), 6), np.imag(z)),
@@ -95,10 +94,10 @@ class TestEigenvalues:
         npt.assert_allclose(got, want, atol=1e-10)
 
     def test_conjugate_pairs(self):
-        spec = linalg.eigenvalues(FIVE)
-        vals = spec.values
+        vals = linalg.eigenvalues(FIVE)
+        tol = 1e-12 * max(np.linalg.norm(FIVE, "fro"), 1.0)
         for v in vals:
-            if abs(v.imag) > spec.convergence_tol:
+            if abs(v.imag) > tol:
                 assert np.min(np.abs(vals - v.conjugate())) <= 1e-10
 
     def test_rejects_oversize_and_bad_input(self):
@@ -135,7 +134,7 @@ class TestNullspace:
         npt.assert_allclose(n / n[0], np.ones(5), atol=1e-10)
 
     def test_residual_bound_on_random_singular_matrices(self):
-        """||A v||_inf <= rank_tol * ||A||_inf * ||v||_inf for every basis vector."""
+        """||A v||_inf <= RANK_TOL * ||A||_inf * ||v||_inf for every basis vector."""
         for n in range(2, 9):
             a = RNG.uniform(-2, 2, size=(n, n))
             a[:, -1] = -a[:, :-1].sum(axis=1)  # force a kernel
@@ -144,10 +143,6 @@ class TestNullspace:
             assert basis
             for v in basis:
                 assert np.linalg.norm(a @ v, np.inf) <= 1e-10 * norm * np.linalg.norm(v, np.inf)
-
-    def test_rank_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            linalg.nullspace(np.eye(2), rank_tol=0.0)
 
 
 class TestExpmApply:
@@ -199,26 +194,36 @@ class TestExpmApply:
 
 class TestValidateSystem:
     def test_five_by_five_all_flags(self):
-        rep = linalg.validate_system(FIVE)
-        assert rep.metzler and rep.proper_metzler and rep.spectrum_nonpositive
-        assert rep.kernel_dim == 1 and rep.multiplicities_match
-        assert rep.admissible
+        """Every condition of the class holds; the kernel and invariant are one-dimensional."""
+        rows, basis, lams = linalg.validate_system(FIVE)
+        assert rows.shape == (1, 5) and len(basis) == 1 and lams.shape == (4,)
+        npt.assert_allclose(rows @ FIVE, 0.0, atol=1e-12)
+        npt.assert_allclose(FIVE @ basis[0], 0.0, atol=1e-12)
 
-    def test_zero_matrix(self):
-        rep = linalg.validate_system(np.zeros((3, 3)))
-        assert rep.metzler
-        assert not rep.proper_metzler
-        assert not rep.nonzero
-        assert not rep.admissible
-
-    def test_positive_eigenvalue_detected(self):
-        rep = linalg.validate_system(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert not rep.spectrum_nonpositive
-
-    def test_defective_zero_eigenvalue(self):
-        """Jordan block at 0: algebraic multiplicity 2, geometric 1."""
-        rep = linalg.validate_system(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert rep.kernel_dim == 1
-        assert rep.zero_algebraic_multiplicity == 2
-        assert not rep.multiplicities_match
-
+    @pytest.mark.parametrize("a, message", [
+        (
+            np.array([[0.0, -1.0], [1.0, 0.0]]),
+            "matrix is not Metzler",
+        ),
+        (
+            np.array([[-1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),  # eigenvalue 1
+            "matrix is outside the conservative Metzler class: kernel_dim=1, "
+            "multiplicities_match=True, spectrum_nonpositive=False, proper_metzler=True",
+        ),
+        (
+            np.zeros((3, 3)),  # nonzero flag: a zero matrix has no negative diagonal entry
+            "matrix is outside the conservative Metzler class: kernel_dim=3, "
+            "multiplicities_match=True, spectrum_nonpositive=True, proper_metzler=False",
+        ),
+        (
+            np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),  # Jordan block at 0
+            "matrix is outside the conservative Metzler class: kernel_dim=1, "
+            "multiplicities_match=False, spectrum_nonpositive=True, proper_metzler=True",
+        ),
+    ], ids=["non-metzler", "positive-eigenvalue", "zero-matrix", "jordan-block"])
+    def test_rejection_message(self, a, message):
+        """``validate_system`` and ``LinearPds.from_matrix`` raise the same text."""
+        for check in (linalg.validate_system, LinearPds.from_matrix):
+            with pytest.raises(ModelError) as info:
+                check(a)
+            assert str(info.value) == message

@@ -1,4 +1,4 @@
-"""Model layer: Metzler splitting, steady states, model files, builtins."""
+"""Model layer: linear models, steady states, model files, builtins."""
 
 from fractions import Fraction
 
@@ -12,41 +12,6 @@ from posinv import pds
 from posinv.errors import ModelError, NumericsError
 
 from test_linalg import FIVE, rational_kernel_5x5, two_by_two
-
-
-class TestSplitMetzler:
-    def test_two_by_two_split(self):
-        a, b, c = 2.0, 1.0, 0.5
-        s_plus, s_minus = pds.split_metzler(two_by_two(a, b, c))
-        npt.assert_array_equal(s_plus, [[0.0, b * c], [a, 0.0]])
-        npt.assert_array_equal(s_minus, [[a * c, 0.0], [0.0, b]])
-
-    def test_five_by_five_trace(self):
-        _, s_minus = pds.split_metzler(FIVE)
-        assert np.trace(s_minus) == 20.0
-
-    def test_zero_matrix(self):
-        s_plus, s_minus = pds.split_metzler(np.zeros((3, 3)))
-        npt.assert_array_equal(s_plus, np.zeros((3, 3)))
-        npt.assert_array_equal(s_minus, np.zeros((3, 3)))
-
-    def test_rejects_non_metzler(self):
-        with pytest.raises(ModelError):
-            pds.split_metzler(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-    def test_integer_reconstruction_exact(self):
-        s_plus, s_minus = pds.split_metzler(FIVE)
-        npt.assert_array_equal(s_plus - s_minus, FIVE)
-
-    @given(st.lists(st.floats(0.0, 1e6), min_size=9, max_size=9),
-           st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
-    def test_reconstruction_property(self, off, diag):
-        a = np.array(off).reshape(3, 3)
-        np.fill_diagonal(a, diag)
-        s_plus, s_minus = pds.split_metzler(a)
-        assert np.all(s_plus >= 0) and np.all(s_minus >= 0)
-        assert np.all(s_minus == np.diag(np.diag(s_minus)))
-        npt.assert_allclose(s_plus - s_minus, a, rtol=1e-15, atol=0.0)
 
 
 class TestLinearPds:

@@ -21,7 +21,7 @@ import pytest
 from posinv import stability
 from posinv.errors import NumericsError
 from posinv.integrators import SCHEME_IDS, make_scheme, phi, step_map
-from posinv.pds import LinearPds, resolve_builtin, steady_state_for
+from posinv.pds import LinearPds, steady_state_for
 
 from test_linalg import FIVE, two_by_two
 
@@ -122,7 +122,7 @@ class TestJacobians:
         y_star = steady_state_for(model, y0)
         scheme = make_scheme(name)
         closed = stability.closed_form_jacobian(model, scheme, dt)
-        probed = stability.numerical_jacobian(step_map(model, scheme, dt), y_star, h=1e-6)
+        probed = stability.numerical_jacobian(step_map(model, scheme, dt), y_star)
         assert np.max(np.abs(probed - closed)) <= 1e-4
 
     def test_geco1_closed_form_value(self):
@@ -299,7 +299,10 @@ class TestRandomSystems:
         for seed in range(10):
             model = stability.random_conservative_system(seed, 2 + seed % 7)
             npt.assert_allclose(model.a.sum(axis=0), 0.0, atol=1e-12)
-            assert validate_system(model.a).admissible
+            rows, basis, lams = validate_system(model.a)
+            npt.assert_array_equal(rows, model.invariant_rows)
+            npt.assert_array_equal(basis, model.kernel_basis)
+            npt.assert_array_equal(lams, model.nonzero_eigenvalues)
 
     @pytest.mark.parametrize(
         "seed, n, sha256",
