@@ -14,6 +14,7 @@ can run concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -91,7 +92,9 @@ def solve_tau(c, d, sigma, r: float) -> float:
     The returned tau makes every float c_m + d_m*tau (the update the schemes
     form) strictly positive: when the converged point does not, or the
     bracket closes to neighbouring floats, the last point with G > 0 is
-    returned.  Where the unscaled update of a rescaled triple is not
+    returned.  When G(0) underflows to 0.0 the root lies below every
+    positive float, and 2^-1074 is returned only where it keeps every
+    factor positive.  Where the unscaled update of a rescaled triple is not
     positive at the root (its exact value lies below half the smallest
     subnormal, as for c = sigma = 2^-1074), tau is lowered to the largest
     float that keeps it positive: the quotient (c - 2^-1075) / (-d), formed
@@ -134,30 +137,37 @@ def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
     """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples.
 
     All-normal triples go to the Newton loop as they are.  Otherwise the
-    result is max(min(newton, b_1, ..., b_n), 2^-1074) over the positivity
-    boundaries b_m of the factors that Newton's tau leaves nonpositive.  When
-    G at b, the smallest boundary of the triples with a subnormal c, is
-    positive beyond rounding (:func:`_root_above`), the root and so Newton's
-    tau lie above b: b goes to the clamp in its place, with the same bits.
+    result is min(newton, b_1, ..., b_n) over the positivity boundaries b_m
+    of the factors that Newton's tau leaves nonpositive; 0.0 when no
+    positive float keeps every factor positive.  When G at b, the smallest
+    boundary of the triples with a subnormal c, is positive beyond rounding
+    (:func:`_root_above`), the root and so Newton's tau lie above b: b goes
+    to the clamp in its place, with the same bits.
     """
     for ci, di, si in factors:
         if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
             break
     else:
         return _newton_root(factors, r)
-    scaled = [_rescaled(*triple) for triple in factors]
-    boundary = min(
-        (_last_positive_tau(ci, di) for ci, di, _ in factors if ci < _MIN_NORMAL), default=0.0
-    )
-    # a boundary of 0.0 passes the clamp unchanged, where Newton's tau would become 2^-1074
+    scaled, boundaries = [], []
+    for ci, di, si in factors:
+        # a triple with a subnormal entry is multiplied by 2^k, if k > 0
+        k = _lift(ci, di, si) if min(ci, -di, si) < _MIN_NORMAL else 0
+        if k > 0:
+            scaled.append((math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k)))
+        else:
+            scaled.append((ci, di, si))
+        if ci < _MIN_NORMAL:
+            boundaries.append(_last_positive_tau(ci, di, k))
+    boundary = min(boundaries, default=0.0)
+    # a boundary of 0.0 is no positive tau to return
     if boundary > 0.0 and _root_above(scaled, r, boundary):
         tau = boundary
     else:
         tau = _newton_root(scaled, r)
     for ci, di, _ in factors:
         if not ci + di * tau > 0.0:
-            # after an underflowed G(0) no positive float may be left; keep ulp(0)
-            tau = max(_last_positive_tau(ci, di), math.ulp(0.0))
+            tau = _last_positive_tau(ci, di)
     return tau
 
 
@@ -166,26 +176,19 @@ def _lift(*values: float) -> int:
     return 1021 - math.frexp(max(map(abs, values)))[1]
 
 
-def _rescaled(c: float, d: float, sigma: float) -> tuple[float, float, float]:
-    """The triple times 2^k, if it has a subnormal entry and k > 0; else unchanged."""
-    if min(c, -d, sigma) >= _MIN_NORMAL:
-        return c, d, sigma
-    k = _lift(c, d, sigma)
-    if k <= 0:
-        return c, d, sigma
-    return math.ldexp(c, k), math.ldexp(d, k), math.ldexp(sigma, k)
-
-
-def _last_positive_tau(c: float, d: float) -> float:
+def _last_positive_tau(c: float, d: float, k: int = 0) -> float:
     """Largest float tau with c + d*tau > 0 in floating point (c > 0, d < 0).
 
     For c <= 2^-1022, the case the solver meets, the floats below c are
     2^-1074 apart: the float d*tau stays above -c exactly when -d*tau is
     below c - 2^-1075 (or equal to it, if that tie rounds away from c).
     Scaled by 2^k, that threshold is exact and the quotient is rounded once,
-    so a nextafter or two settles the last ulp.
+    so a nextafter or two settles the last ulp.  Every k > 0 that keeps
+    c*2^k and d*2^k finite gives the same quotient; for k <= 0 the exponent
+    of :func:`_lift` on (c, d) is used.
     """
-    k = _lift(c, d)
+    if k <= 0:
+        k = _lift(c, d)
     tau = (math.ldexp(c, k) - math.ldexp(0.5, k - 1074)) / math.ldexp(-d, k)
     while not c + d * tau > 0.0:
         tau = math.nextafter(tau, 0.0)
@@ -236,9 +239,11 @@ def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
         else:
             g, slope = point
             if g == 0.0:
-                # at tau = 0 only when G(0) underflowed: the root is then
-                # below the smallest positive float
-                return max(tau, math.ulp(0.0))
+                # at tau = 0 only when G(0) underflowed: the root is then below
+                # the smallest positive float, the answer if every factor is positive there
+                if tau > 0.0 or _evaluate(factors, r, math.ulp(0.0)) is None:
+                    return tau
+                return math.ulp(0.0)
             if g > 0.0:
                 lo = tau
             else:
@@ -401,24 +406,31 @@ def geco2_step(model, y: np.ndarray, dt: float, spec):
     """
     inner_arg = dt * model.destruction_rate_sum(y)
     inner_phi = phi(inner_arg)
-    f1 = model.rhs(y)
-    y2 = y + (dt * inner_phi) * f1
-    if not all(map(math.isfinite, y2.tolist())):
+    ys, f1 = y.tolist(), model.rhs(y).tolist()
+    h = dt * inner_phi
+    y2 = [yi + h * fi for yi, fi in zip(ys, f1)]
+    if not all(map(math.isfinite, y2)):
         raise NumericsError("scheme produced a non-finite state")
-    f2 = model.rhs(y2)
-    w = 2.0 * inner_phi * f1 - f1 - f2
-    w_plus = np.maximum(w, 0.0)
-    active = w_plus > 0.0
-    degenerate = bool((active & (y == 0.0)).any())
-    arg = math.inf if degenerate else dt * float(np.sum(w_plus[active] / y[active]))
-    nxt = y + 0.5 * dt * phi(arg) * (f1 + f2)
+    f2 = model.rhs(np.array(y2)).tolist()
+    twice = 2.0 * inner_phi
+    w = [twice * a - a - b for a, b in zip(f1, f2)]
+    degenerate = any(wi > 0.0 and yi == 0.0 for wi, yi in zip(w, ys))
+    if degenerate:
+        arg = math.inf
+    else:
+        # numpy's add-reduce order, which is not Python's left-to-right sum
+        arg = dt * float(np.sum(np.array([wi / yi for wi, yi in zip(w, ys) if wi > 0.0])))
+    g = (0.5 * dt) * phi(arg)
+    nxt = np.array([yi + g * (a + b) for yi, a, b in zip(ys, f1, f2)])
     return nxt, 1.0, {"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate}
 
 
-def _active_solve(y: np.ndarray, slope: np.ndarray, sigma, r: float, label: str) -> float:
+def _active_solve(y: list, slope: list, sigma, r: float, label: str) -> float:
     """Solve the product-term equation over the active set {m : slope_m < 0}."""
-    rows = zip(y.tolist(), slope.tolist(), np.asarray(sigma, dtype=float).tolist(), strict=True)
-    factors = [(ci, di, si) for ci, di, si in rows if di < 0.0]
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (len(y),):
+        raise ModelError(f"{label}: strategy returned sigma of shape {sigma.shape}")
+    factors = [(ci, di, si) for ci, di, si in zip(y, slope, sigma.tolist()) if di < 0.0]
     if not factors:
         return 1.0
     if not all(0.0 < si < math.inf for _, _, si in factors):
@@ -435,10 +447,11 @@ def gbbks1_step(model, y: np.ndarray, dt: float, spec):
 
     Unchecked; :func:`step` is the checked form.
     """
-    f = model.rhs(y)
     strategy = spec.strategy
-    tau = _active_solve(y, dt * f, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
-    return y + dt * f * tau, tau, {}
+    ys = y.tolist()
+    slope = [dt * fi for fi in model.rhs(y).tolist()]
+    tau = _active_solve(ys, slope, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
+    return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau, {}
 
 
 def gbbks2_step(model, y: np.ndarray, dt: float, spec):
@@ -447,15 +460,16 @@ def gbbks2_step(model, y: np.ndarray, dt: float, spec):
     Unchecked; :func:`step` is the checked form.
     """
     alpha, strategy = spec.alpha, spec.strategy
-    f1 = model.rhs(y)
-    tau_inner = _active_solve(
-        y, (alpha * dt) * f1, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner"
-    )
-    y2 = y + (alpha * dt) * f1 * tau_inner
-    f2 = model.rhs(y2)
-    fbar = (1.0 - 1.0 / (2.0 * alpha)) * f1 + (1.0 / (2.0 * alpha)) * f2
-    tau = _active_solve(y, dt * fbar, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
-    return y + dt * fbar * tau, tau, {"tau_inner": tau_inner}
+    ys, f1 = y.tolist(), model.rhs(y).tolist()
+    h = alpha * dt
+    inner = [h * fi for fi in f1]
+    tau_inner = _active_solve(ys, inner, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner")
+    y2 = np.array([yi + si * tau_inner for yi, si in zip(ys, inner)])
+    f2 = model.rhs(y2).tolist()
+    w1, w2 = 1.0 - 1.0 / (2.0 * alpha), 1.0 / (2.0 * alpha)
+    slope = [dt * (w1 * a + w2 * b) for a, b in zip(f1, f2)]
+    tau = _active_solve(ys, slope, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
+    return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau, {"tau_inner": tau_inner}
 
 
 SCHEMES = {
@@ -538,11 +552,12 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     ``y0`` and ``dt`` are checked once, and each result as it is produced.
     When a checked result has the same bytes as the state it came from, the
     remaining steps are filled with that state and the kernel is not called
-    again.  This relies on the step map being a deterministic function of the
-    state: the kernels are, and so must be the callables of a
-    :class:`~posinv.pds.GeneralPds` and of a :class:`GbbksStrategy`.  The
-    comparison is bitwise, so a step that only flips the sign of a zero
-    still counts as a move.
+    again; when it has the bytes of the state two steps back, the remaining
+    steps alternate the last two states.  This relies on the step map being
+    a deterministic function of the state: the kernels are, and so must be
+    the callables of a :class:`~posinv.pds.GeneralPds` and of a
+    :class:`GbbksStrategy`.  The comparisons are bitwise, so a step that only
+    flips the sign of a zero is no fixed point.
     Invariant defects and minima are computed once, after the last step.
     A failing step raises :class:`IntegrationError` carrying the trajectory
     up to the failure and the underlying cause.
@@ -558,7 +573,7 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             y = _check_step(y0, dt)
-            last = y.tobytes()
+            last, before = y.tobytes(), None
             for done in range(1, n_steps + 1):
                 y, tau, _ = kernel(model, y, dt, scheme)
                 _check_result(y, tau)
@@ -568,7 +583,12 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
                     # a bitwise fixed point of a pure map: every later state is these bits
                     states.extend([y] * (n_steps - done))
                     break
-                last = current
+                if current == before:
+                    # a bitwise 2-cycle of a pure map: the last two states alternate
+                    cycle = itertools.cycle((states[-2], y))
+                    states.extend(itertools.islice(cycle, n_steps - done))
+                    break
+                last, before = current, last
         except (PosinvError, ValueError) as exc:
             raise IntegrationError(
                 f"step {len(states)} of {scheme.id} failed: {exc}",

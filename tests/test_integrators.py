@@ -187,12 +187,23 @@ def boundary_tau_inputs():
             yield [tuple(t) for t in zip(c.tolist(), d.tolist(), s.tolist())], float(r)
 
 
+def rescaled(c, d, s):
+    """The triple times 2^k that puts its largest entry in [2^1020, 2^1021).
+
+    Only a triple with a subnormal entry is scaled, and only if k > 0.
+    """
+    k = 1021 - math.frexp(max(c, -d, s))[1]
+    if min(c, -d, s) >= 2.0**-1022 or k <= 0:
+        return c, d, s
+    return math.ldexp(c, k), math.ldexp(d, k), math.ldexp(s, k)
+
+
 def clamped_newton(factors, r):
     """The subnormal path without the boundary test: Newton on rescaled triples, then the clamp."""
-    tau = integrators._newton_root([integrators._rescaled(*triple) for triple in factors], r)
+    tau = integrators._newton_root([rescaled(*triple) for triple in factors], r)
     for c, d, _ in factors:
         if not c + d * tau > 0.0:
-            tau = max(integrators._last_positive_tau(c, d), math.ulp(0.0))
+            tau = integrators._last_positive_tau(c, d)
     return tau
 
 
@@ -309,12 +320,31 @@ class TestSolveTau:
     def test_underflowed_product_gives_smallest_positive_tau(self):
         """G(0) = (1e-200)^2 rounds to 0.0; the root is below every positive float.
 
-        Also when a third, subnormal factor 2^-1074 - tau already rounds to
-        0.0 at tau = 2^-1074: tau stays positive rather than that factor.
+        2^-1074 is the answer only where it keeps every factor positive: a
+        third, subnormal factor 2^-1074 - tau rounds to 0.0 there, so no
+        positive float is left and the solve fails.
         """
         assert solve_tau([1e-200, 1e-200], [-1.0, -1.0], [1.0, 1.0], 1.0) == math.ulp(0.0)
         tiny = math.ulp(0.0)
-        assert solve_tau([1e-200, 1e-200, tiny], [-1.0, -1.0, -1.0], [1.0, 1.0, tiny], 1.0) == tiny
+        with pytest.raises(SolverError):
+            solve_tau([1e-200, 1e-200, tiny], [-1.0, -1.0, -1.0], [1.0, 1.0, tiny], 1.0)
+
+    @pytest.mark.parametrize(
+        "c, d, s",
+        [
+            ([math.ulp(0.0)], [-1.0], [1e308]),
+            ([1e-200, 1e-200], [-1e300, -1e300], [1.0, 1.0]),
+        ],
+        ids=["subnormal-beside-large-sigma", "all-normal"],
+    )
+    def test_underflowed_product_with_no_positive_float_raises(self, c, d, s):
+        """G(0) rounds to 0.0, and c_1 + d_1*2^-1074 is already nonpositive: no tau is left.
+
+        The smallest positive float would return a zero or negative factor.
+        """
+        assert c[0] + d[0] * math.ulp(0.0) <= 0.0
+        with pytest.raises(SolverError):
+            solve_tau(c, d, s, 1.0)
 
     @pytest.mark.parametrize(
         "units, root_value",
@@ -386,6 +416,35 @@ class TestSolveTau:
         monkeypatch.setattr(integrators, "_evaluate", evaluate)
         factors = [(ci, di, ci) for ci, di in zip(y.tolist(), model.rhs(y).tolist()) if di < 0.0]
         assert tau == clamped_newton(factors, 1.0)
+
+    def test_clamp_to_a_zero_boundary_raises(self):
+        """c = sigma = 2^-1074, d = -(1 - 2^-53): the root lies just above 2^-1074.
+
+        Rescaled, the factor at 2^-1074 is 2^-53 * c > 0 and Newton returns
+        2^-1074; unscaled, d*2^-1074 rounds to -c and the factor to 0.0.  Its
+        boundary is 0.0, and 2^-1074 may not replace it.
+        """
+        tiny, d = math.ulp(0.0), -(1.0 - 2.0**-53)
+        assert tiny + d * tiny == 0.0
+        assert integrators._newton_root([rescaled(tiny, d, tiny)], 1.0) == tiny
+        with pytest.raises(SolverError):
+            solve_tau([tiny], [d], [tiny], 1.0)
+
+    @pytest.mark.parametrize("big", [2.0**1020, 1e308])
+    def test_unscaled_subnormal_triple_keeps_its_boundary(self, big):
+        """A subnormal c beside sigma >= 2^1020 is not rescaled; its boundary is still exact.
+
+        For c = 4*2^-1074, d = -40*2^-1074 the boundary is 0.0875, far below
+        the float quotient c/(-d) = 0.1, so it must come from the exact
+        threshold c - 2^-1075 and not from settling c/(-d) by single ulps.
+        G(0) underflows (c/sigma is below every float), so tau is 2^-1074.
+        """
+        tiny = math.ulp(0.0)
+        b = integrators._last_positive_tau(4 * tiny, -40 * tiny)
+        assert b == pytest.approx(0.0875, rel=1e-15)
+        factors = [(4 * tiny, -40 * tiny, big), (1.0, -0.5, 1.0)]
+        assert rescaled(*factors[0]) == factors[0]
+        assert integrators._newton_tau(factors, 1.0) == clamped_newton(factors, 1.0) == tiny
 
     @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
     def test_subnormal_rate_beside_large_component(self, c):
@@ -543,6 +602,138 @@ class TestSingleSteps:
         )
         with pytest.raises(ModelError):
             step(UNIT_2X2, SchemeSpec("gbbks1", strategy=bad), Y21, 1.0)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 1)], ids=["scalar", "one-entry", "column"])
+    @pytest.mark.parametrize(
+        "name, stage, label",
+        [
+            ("gbbks1", "sigma", "gbbks1"),
+            ("gbbks2", "pi", "gbbks2 inner"),
+            ("gbbks2", "sigma", "gbbks2"),
+        ],
+    )
+    def test_strategy_output_of_the_wrong_shape_is_a_model_error(self, shape, name, stage, label):
+        """sigma or pi of any shape but (N,) fails the step; ``integrate`` keeps the trajectory."""
+        preset = make_scheme(name).strategy
+        wrong = lambda *args: np.full(shape, 1.5)
+        strategy = dataclasses.replace(preset, **{stage: wrong})
+        scheme = SchemeSpec(name, alpha=1.0 if name == "gbbks2" else None, strategy=strategy)
+        with pytest.raises(IntegrationError, match=rf"^step 1 of {name} failed") as err:
+            integrate(UNIT_2X2, scheme, Y21, 1.0, 3)
+        assert type(err.value.cause) is ModelError
+        assert str(err.value.cause) == f"{label}: strategy returned sigma of shape {shape}"
+        assert err.value.trajectory.states.tolist() == [Y21.tolist()]
+
+
+def numpy_active_solve(y, slope, sigma, r):
+    """The product-term solve as the kernels once formed it, from numpy arrays."""
+    rows = zip(y.tolist(), slope.tolist(), np.asarray(sigma, dtype=float).tolist())
+    factors = [(c, d, s) for c, d, s in rows if d < 0.0]
+    if not factors:
+        return 1.0
+    if not all(0.0 < s < math.inf for _, _, s in factors) or min(factors)[0] <= 0.0:
+        raise ModelError("outside the solver's preconditions")
+    return integrators._newton_tau(factors, r)
+
+
+def numpy_geco2(model, y, dt, spec):
+    """``geco2_step`` in whole-array numpy operations, each association as the kernel's."""
+    inner_arg = dt * model.destruction_rate_sum(y)
+    inner_phi = phi(inner_arg)
+    f1 = model.rhs(y)
+    y2 = y + (dt * inner_phi) * f1
+    f2 = model.rhs(y2)
+    w = 2.0 * inner_phi * f1 - f1 - f2
+    w_plus = np.maximum(w, 0.0)
+    active = w_plus > 0.0
+    degenerate = bool((active & (y == 0.0)).any())
+    arg = math.inf if degenerate else dt * float(np.sum(w_plus[active] / y[active]))
+    nxt = y + 0.5 * dt * phi(arg) * (f1 + f2)
+    return nxt, 1.0, {"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate}
+
+
+def numpy_gbbks1(model, y, dt, spec):
+    f = model.rhs(y)
+    tau = numpy_active_solve(y, dt * f, spec.strategy.sigma(y, None), spec.strategy.r(y))
+    return y + dt * f * tau, tau, {}
+
+
+def numpy_gbbks2(model, y, dt, spec):
+    alpha, strategy = spec.alpha, spec.strategy
+    f1 = model.rhs(y)
+    tau_inner = numpy_active_solve(y, (alpha * dt) * f1, strategy.pi(y), strategy.q(y))
+    y2 = y + (alpha * dt) * f1 * tau_inner
+    f2 = model.rhs(y2)
+    fbar = (1.0 - 1.0 / (2.0 * alpha)) * f1 + (1.0 / (2.0 * alpha)) * f2
+    tau = numpy_active_solve(y, dt * fbar, strategy.sigma(y, y2), strategy.r(y))
+    return y + dt * fbar * tau, tau, {"tau_inner": tau_inner}
+
+
+def kernel_bits(out):
+    """(y_next, tau, aux) with every float as its bytes."""
+    y_next, tau, aux = out
+    assert type(y_next) is np.ndarray and y_next.dtype == np.float64
+    floats = {k: v if type(v) is bool else float(v).hex() for k, v in aux.items()}
+    return y_next.shape, y_next.tobytes(), float(tau).hex(), floats
+
+
+def oracle_kernel_cases():
+    """(model, y, dt) on random systems, geco2's degenerate case and ``paper-stiff?K=1e+06``.
+
+    The random starts are of order one, spread over 300 decades, or of
+    order one with a 0.0 and a 2^-1074 component; the stiff states are
+    those of gbbks runs at dt 1e12, whose first component stalls at 2^-1074.
+    """
+    for n in (3, 5, 8, 16):
+        model = stability.random_conservative_system(n, n)
+        rng = np.random.default_rng(n)
+        positive = rng.uniform(0.1, 3.0, n)
+        spread = 10.0 ** rng.uniform(-300.0, 0.0, n)
+        edge = positive.copy()
+        edge[0], edge[n // 2] = 0.0, math.ulp(0.0)
+        for dt in (1e-3, 0.3, 5.0, 1e6):
+            for y in (positive, spread, edge):
+                yield model, y, dt
+    frozen = GeneralPds(
+        dimension=2,
+        production=lambda y: np.array([1.0, 1.0]),
+        destruction_rate=lambda y: np.array([5.0 * max(y[1] - 1.0, 0.0), 0.0]),
+    )
+    yield frozen, np.array([0.0, 1.0]), 1.0
+    stiff = PAPER_STIFF.build()
+    for name in ("gbbks1", "gbbks2"):
+        states = integrate(stiff, make_scheme(name), PAPER_STIFF.y0, 1e12, 40).states
+        for y in states[::4]:
+            yield stiff, y, 1e12
+
+
+def test_kernels_match_the_numpy_formulation_bitwise():
+    """The list-based geco2, gbbks1 and gbbks2 kernels give the bits of whole-array numpy.
+
+    Both sides run the same ``_newton_tau``; what is compared is the
+    elementwise arithmetic around it, including numpy's blocked sum of
+    geco2's ratios (from 8 entries on), a zero and a subnormal component,
+    the degenerate flag and three gbbks2 alphas.
+    """
+    schemes = [
+        ("geco2", make_scheme("geco2"), numpy_geco2),
+        ("gbbks1", make_scheme("gbbks1"), numpy_gbbks1),
+    ] + [("gbbks2", make_scheme("gbbks2", a), numpy_gbbks2) for a in (0.5, 1.0, 3.0)]
+    compared = degenerate = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for model, y, dt in oracle_kernel_cases():
+            for name, scheme, oracle_kernel in schemes:
+                kernel = integrators.SCHEMES[name].kernel
+                try:
+                    want = kernel_bits(oracle_kernel(model, y, dt, scheme))
+                except (ModelError, NumericsError) as exc:
+                    with pytest.raises(type(exc)):
+                        kernel(model, y, dt, scheme)
+                    continue
+                assert kernel_bits(kernel(model, y, dt, scheme)) == want, (name, y, dt)
+                compared += 1
+                degenerate += want[3].get("degenerate", False)
+    assert compared >= 300 and degenerate > 0
 
 
 class TestSchemeSpec:
@@ -755,16 +946,36 @@ def test_integrate_stops_calling_the_kernel_at_a_fixed_point(monkeypatch):
 
 
 def test_signed_zero_flip_is_not_a_fixed_point(monkeypatch):
-    """A step that turns +0.0 into -0.0 is equal under ``==`` but not bitwise: keep stepping."""
+    """A step that turns +0.0 into -0.0 is equal under ``==`` but not bitwise: no fixed point.
+
+    The flip is its own inverse, so the second call returns the start's
+    bytes: the 2-cycle exit, not the fixed-point exit, fills the other four.
+    """
 
     def flip(model, y, dt, spec):
         return np.array([y[0], -y[1]]), 1.0, {}
 
     calls = count_kernel_calls(monkeypatch, "euler", flip)
     traj = integrate(UNIT_2X2, make_scheme("euler"), np.array([1.0, 0.0]), 0.1, 6)
-    assert len(calls) == 6
+    assert len(calls) == 2
     assert (traj.states == [[1.0, 0.0]] * 7).all()
     assert [math.copysign(1.0, v) for v in traj.states[:, 1]] == [1.0, -1.0] * 3 + [1.0]
+
+
+def test_integrate_stops_calling_the_kernel_in_a_two_cycle(monkeypatch):
+    """euler on ``random:16`` seed 0 below its critical step: state 45 has the bytes of state 43.
+
+    The 45th call closes the floating-point 2-cycle, so the other 955
+    states alternate states 44 and 45 without a kernel call.
+    """
+    calls = count_kernel_calls(monkeypatch, "euler", integrators.SCHEMES["euler"].kernel)
+    traj = integrate(RANDOM_16, make_scheme("euler"), np.ones(16), RANDOM_16_DT, 1000)
+    assert len(calls) == 45
+    assert len(traj) == 1001
+    assert traj.states[43].tobytes() == traj.states[45].tobytes() != traj.states[44].tobytes()
+    assert traj.states[42].tobytes() != traj.states[44].tobytes()
+    assert traj.states[44::2].tobytes() == np.tile(traj.states[44], (479, 1)).tobytes()
+    assert traj.states[45::2].tobytes() == np.tile(traj.states[45], (478, 1)).tobytes()
 
 
 def test_gbbks2_settles_at_a_spurious_fixed_point_above_dt_star():
