@@ -16,8 +16,7 @@ to this script), each in its own process, and prints for each workload:
   still positive there) and the rest;
 * evaluations of G per call (every call of the evaluator, also the one
   that tests the positivity boundary), how many calls were decided without
-  the Newton loop, and microseconds per call (best of three replays), on
-  each tree;
+  the Newton loop, on each tree;
 * for every call whose tau differs, the relative distance of each tree's
   tau from the 50-digit root (``gen_oracle_values.product_term_root``), and
   whether each keeps every float factor positive.
@@ -38,7 +37,6 @@ import math
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from mpmath import mp
@@ -46,7 +44,6 @@ from mpmath import mp
 ROOT = Path(__file__).resolve().parent.parent
 #: (workload, seed) of the recorded passes.
 PASSES = (("reproduce", 0), ("stiff-sweep", 0))
-REPLAYS = 3
 #: Names of the G evaluator in the trees replayed: the module-level one, and
 #: the closure inside ``_newton_root`` of trees that have no module-level one.
 EVALUATORS = ("_evaluate", "evaluate")
@@ -91,7 +88,7 @@ def record(src: str, out: str) -> None:
 
 
 def replay(src: str, traffic_path: str, out: str) -> None:
-    """Solve every recorded call again; write each tau, G evaluations, Newton loops and µs per call."""
+    """Solve every recorded call again; write each tau, its G evaluations and its Newton loops."""
     integrators = import_posinv(src)
     solve = integrators._newton_tau
     traffic = json.loads(Path(traffic_path).read_text())
@@ -121,17 +118,7 @@ def replay(src: str, traffic_path: str, out: str) -> None:
                 loops.append(count["loops"])
         finally:
             sys.setprofile(None)
-        best = math.inf
-        for _ in range(REPLAYS):
-            start = time.perf_counter()
-            for factors, r in calls:
-                try:
-                    solve(factors, r)
-                except Exception:  # already reported above; timed like the rest
-                    pass
-            best = min(best, time.perf_counter() - start)
-        us_per_call = 1e6 * best / max(len(calls), 1)
-        results[name] = {"tau": taus, "evals": evals, "loops": loops, "us_per_call": us_per_call}
+        results[name] = {"tau": taus, "evals": evals, "loops": loops}
     Path(out).write_text(json.dumps(results))
 
 
@@ -196,8 +183,7 @@ def compare(base_src: str, src: str) -> int:
             print(f"  {label}: {len(members)} calls, {len(same.intersection(members))} bit-identical")
         for label, run in (("base", base), ("new", new)):
             print(f"  {label}: {sum(run['evals']) / max(n, 1):.2f} G evaluations per call, "
-                  f"{run['loops'].count(0)} calls decided without the Newton loop, "
-                  f"{run['us_per_call']:.2f} us per call")
+                  f"{run['loops'].count(0)} calls decided without the Newton loop")
         label_of = {i: label for label, members in classes.items() for i in members}
         for i in sorted(set(range(n)) - same):
             factors, r = calls[i]

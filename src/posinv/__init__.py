@@ -37,7 +37,6 @@ from .pds import (
     ModelDocument,
     load_model,
     parse_model,
-    serialize_model,
     steady_state_for,
 )
 from .stability import (
@@ -49,7 +48,6 @@ from .stability import (
     closed_form_jacobian,
     critical_step,
     geco2_region_endpoint,
-    geco2_w,
     numerical_jacobian,
     random_conservative_system,
     stability_value,

@@ -347,7 +347,7 @@ def run_remark8(outdir: str) -> tuple[list[str], list[Check]]:
     ]
     extra = {
         "z_star": endpoint.z_star,
-        "reported_bracket": list(endpoint.reported_bracket),
+        "reported_bracket": list(stability.REPORTED_ENDPOINT_BRACKET),
         "agrees_with_reported": endpoint.agrees_with_reported,
     }
     return [path, _summary(outdir, "remark8", checks, extra)], checks

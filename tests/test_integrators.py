@@ -593,6 +593,19 @@ class TestSingleSteps:
         assert str(err.value.cause) == "right-hand side returned non-finite values"
         assert err.value.trajectory.states.tolist() == [Y21.tolist()]
 
+    @pytest.mark.parametrize("name", ["euler", "gbbks1"])
+    @pytest.mark.parametrize("callable_name", ["production", "destruction_rate"])
+    def test_rate_output_of_the_wrong_shape_is_a_model_error(self, callable_name, name):
+        """A one-entry output on a two-component model fails the step instead of broadcasting."""
+        rates = {"production": lambda y: np.zeros(2), "destruction_rate": lambda y: np.ones(2)}
+        rates[callable_name] = lambda y: np.array([1.0])
+        model = GeneralPds(dimension=2, **rates)
+        with pytest.raises(IntegrationError, match=rf"^step 1 of {name} failed") as err:
+            integrate(model, make_scheme(name), Y21, 0.1, 3)
+        assert type(err.value.cause) is ModelError
+        assert str(err.value.cause) == f"{callable_name} returned shape (1,)"
+        assert err.value.trajectory.states.tolist() == [Y21.tolist()]
+
     def test_gbbks_rejects_nonpositive_sigma(self):
         bad = GbbksStrategy(
             sigma=lambda y, y2=None: -np.asarray(y),
