@@ -44,9 +44,8 @@ from mpmath import mp
 ROOT = Path(__file__).resolve().parent.parent
 #: (workload, seed) of the recorded passes.
 PASSES = (("reproduce", 0), ("stiff-sweep", 0))
-#: Names of the G evaluator in the trees replayed: the module-level one, and
-#: the closure inside ``_newton_root`` of trees that have no module-level one.
-EVALUATORS = ("_evaluate", "evaluate")
+#: Names of the G evaluator in the trees replayed.
+EVALUATORS = ("_evaluate",)
 
 
 def import_posinv(src: str):

@@ -76,12 +76,13 @@ def solve_tau(c, d, sigma, r: float) -> float:
     Safeguarded Newton from tau = 0, whose first iterate is the linearised
     root p0 / (1 + r*p0*sum(-d/c)) with p0 = G(0), inside the bracket
     [lo, hi] = [0, tau_max].  A bisection step replaces a Newton step that
-    leaves the bracket or is not below half the previous move, and follows a
-    point where some factor c_m + d_m*tau is not positive in floating point.
-    For r >= 1, G is convex and the Newton iterates climb to the root from
-    the left.  Iteration stops when the Newton step is within one ulp of tau;
-    if the residual at the new iterate exceeds 1e-14 its ulp neighbours are
-    tried.  At most 200 iterations.
+    leaves the bracket, is not below half the previous move or comes from a
+    slope that overflowed, and follows a point where some factor
+    c_m + d_m*tau is not positive in floating point.  For r >= 1, G is
+    convex and the Newton iterates climb to the root from the left.
+    Iteration stops when the Newton step is within one ulp of tau; if the
+    residual at the new iterate exceeds 1e-14 its ulp neighbours are tried.
+    At most 200 iterations.
 
     G is evaluated at full precision on subnormal data: a triple with an
     entry below the smallest normal float is multiplied by the power of two
@@ -92,23 +93,18 @@ def solve_tau(c, d, sigma, r: float) -> float:
     The returned tau makes every float c_m + d_m*tau (the update the schemes
     form) strictly positive: when the converged point does not, or the
     bracket closes to neighbouring floats, the last point with G > 0 is
-    returned.  When G(0) underflows to 0.0 the root lies below every
-    positive float, and 2^-1074 is returned only where it keeps every
-    factor positive.  Where the unscaled update of a rescaled triple is not
-    positive at the root (its exact value lies below half the smallest
-    subnormal, as for c = sigma = 2^-1074), tau is lowered to the largest
-    float that keeps it positive: the quotient (c - 2^-1075) / (-d), formed
-    exactly after rescaling and corrected by at most a few ulps.  That
-    boundary is tested before Newton runs: the smallest one over the
-    triples with a subnormal c is returned, without the Newton loop, when
-    G there exceeds four times its rounding-error bound, since the root then
-    lies above it and the clamp would replace Newton's answer by it anyway.
-    An empty index set returns 1 (empty product convention used by the
-    callers).
+    returned.  Where the unscaled update of a rescaled triple is not
+    positive at the root (as for c = sigma = 2^-1074), tau is lowered to the
+    largest float that keeps it positive, (c - 2^-1075) / (-d) formed
+    exactly after rescaling and corrected by a few ulps.  Where G at that
+    boundary exceeds four times its rounding-error bound, the root lies
+    above it and the boundary is returned without the Newton loop.  A tau
+    that is still not positive becomes 2^-1074 where that keeps every factor
+    positive.  An empty index set returns 1 (the callers' empty product).
 
     Raises ValueError on data outside the requirements or not finite, and
-    :class:`SolverError` carrying the bracket (0, tau_max) when no positive
-    float tau keeps every factor positive.
+    :class:`SolverError` carrying the bracket (0, tau_max) and naming a
+    binding factor when no positive float tau keeps every factor positive.
     """
     c, d, sigma = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (c, d, sigma))
     if len(c) == 0:
@@ -119,14 +115,7 @@ def solve_tau(c, d, sigma, r: float) -> float:
         raise ValueError("need c > 0, d < 0, sigma > 0, r > 0")
     if not all(map(math.isfinite, c + d + sigma)):
         raise ValueError("c, d, sigma must be finite")
-    tau = _newton_tau(list(zip(c, d, sigma)), float(r))
-    if not tau > 0.0:
-        # no positive float keeps every factor positive, e.g. c = sigma = 2^-1074, d = -1
-        raise SolverError(
-            "no positive product-term factor keeps every factor positive",
-            bracket=(0.0, min(ci / -di for ci, di in zip(c, d))),
-        )
-    return tau
+    return _newton_tau(list(zip(c, d, sigma)), float(r))
 
 
 #: Smallest positive normal float; a triple with an entry below it is rescaled.
@@ -136,19 +125,35 @@ _MIN_NORMAL = 2.0**-1022
 def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
     """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples.
 
-    All-normal triples go to the Newton loop as they are.  Otherwise the
-    result is min(newton, b_1, ..., b_n) over the positivity boundaries b_m
-    of the factors that Newton's tau leaves nonpositive; 0.0 when no
-    positive float keeps every factor positive.  When G at b, the smallest
-    boundary of the triples with a subnormal c, is positive beyond rounding
-    (:func:`_root_above`), the root and so Newton's tau lie above b: b goes
-    to the clamp in its place, with the same bits.
+    All-normal triples go to the Newton loop as they are, others to
+    :func:`_lifted_root`.  The one exit of the solve: a positive tau is
+    returned, one that is not becomes 2^-1074 if that keeps every float
+    factor positive, and otherwise :class:`SolverError` names a factor.
     """
     for ci, di, si in factors:
         if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
+            tau = _lifted_root(factors, r)
             break
     else:
-        return _newton_root(factors, r)
+        tau = _newton_root(factors, r)
+    if tau > 0.0:
+        return tau
+    for ci, di, _ in factors:
+        if not ci + di * math.ulp(0.0) > 0.0:
+            raise SolverError(
+                f"no positive float tau keeps every product-term factor c + d*tau positive: "
+                f"c + d*2^-1074 <= 0 at c = {ci!r}, d = {di!r}",
+                bracket=(0.0, min(cj / -dj for cj, dj, _ in factors)),
+            )
+    return math.ulp(0.0)
+
+
+def _lifted_root(factors: list[tuple[float, float, float]], r: float) -> float:
+    """Newton on rescaled triples, clamped to b, the least boundary of a subnormal c.
+
+    Only such a factor can bind.  When G(b) is positive beyond rounding
+    (:func:`_root_above`), the root lies above b, and b is returned at once.
+    """
     scaled, boundaries = [], []
     for ci, di, si in factors:
         # a triple with a subnormal entry is multiplied by 2^k, if k > 0
@@ -159,16 +164,11 @@ def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
             scaled.append((ci, di, si))
         if ci < _MIN_NORMAL:
             boundaries.append(_last_positive_tau(ci, di, k))
-    boundary = min(boundaries, default=0.0)
+    boundary = min(boundaries, default=math.inf)
     # a boundary of 0.0 is no positive tau to return
-    if boundary > 0.0 and _root_above(scaled, r, boundary):
-        tau = boundary
-    else:
-        tau = _newton_root(scaled, r)
-    for ci, di, _ in factors:
-        if not ci + di * tau > 0.0:
-            tau = _last_positive_tau(ci, di)
-    return tau
+    if 0.0 < boundary < math.inf and _root_above(scaled, r, boundary):
+        return boundary
+    return min(_newton_root(scaled, r), boundary)
 
 
 def _lift(*values: float) -> int:
@@ -239,17 +239,15 @@ def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
         else:
             g, slope = point
             if g == 0.0:
-                # at tau = 0 only when G(0) underflowed: the root is then below
-                # the smallest positive float, the answer if every factor is positive there
-                if tau > 0.0 or _evaluate(factors, r, math.ulp(0.0)) is None:
-                    return tau
-                return math.ulp(0.0)
+                # at tau = 0 only when G(0) underflowed: the floor rule of _newton_tau decides
+                return tau
             if g > 0.0:
                 lo = tau
             else:
                 hi = tau
             step = -g / slope
-            if abs(step) <= math.ulp(tau):
+            # a slope that overflowed makes the step 0.0 far from the root
+            if abs(step) <= math.ulp(tau) and math.isfinite(slope):
                 break
             if lo < tau + step < hi and abs(step) < 0.5 * move:
                 tau, move = tau + step, abs(step)
@@ -354,12 +352,10 @@ def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
     return SchemeSpec(name)
 
 
-def _check_result(next_state: np.ndarray, tau: float) -> None:
+def _check_result(next_state: np.ndarray) -> None:
     # kernel outputs are 1-D; on a few floats this beats np.isfinite(...).all()
     if not all(map(math.isfinite, next_state.tolist())):
         raise NumericsError("scheme produced a non-finite state")
-    if not tau > 0.0:
-        raise NumericsError(f"product-term factor must be positive, got {tau}")
 
 
 def _check_step(y, dt: float) -> np.ndarray:
@@ -439,6 +435,9 @@ def _active_solve(y: list, slope: list, sigma, r: float, label: str) -> float:
         raise ModelError(f"{label}: state component in the active set is not positive")
     if not r > 0.0:
         raise ModelError(f"{label}: strategy exponent must be positive")
+    if -math.inf in slope:
+        # dt*f overflowed: every positive tau leaves that component at -inf
+        raise NumericsError("scheme produced a non-finite state")
     return _newton_tau(factors, r)
 
 
@@ -486,15 +485,15 @@ SCHEME_IDS = tuple(SCHEMES)
 def step(model, scheme: SchemeSpec, y, dt: float) -> tuple[np.ndarray, float, dict]:
     """One checked step: (next state, tau, aux).
 
-    Validates ``y`` and ``dt``, applies the scheme's kernel and validates its
-    result: the state is finite and tau positive.  ``tau`` is the
-    product-term factor of the gbbks schemes (1 whenever the active set was
-    empty or the scheme has no product term); ``aux`` holds the damping
+    Validates ``y`` and ``dt``, applies the scheme's kernel and checks only
+    that the state it returns is finite.  ``tau`` is the product-term factor
+    of the gbbks schemes (1 whenever the active set was empty or the scheme
+    has no product term), positive by construction; ``aux`` holds the damping
     arguments and the degenerate flag of the geco schemes and gbbks2's inner
     factor ``tau_inner``.
     """
     y_next, tau, aux = SCHEMES[scheme.id].kernel(model, _check_step(y, dt), dt, scheme)
-    _check_result(y_next, tau)
+    _check_result(y_next)
     return y_next, tau, aux
 
 
@@ -575,8 +574,8 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
             y = _check_step(y0, dt)
             last, before = y.tobytes(), None
             for done in range(1, n_steps + 1):
-                y, tau, _ = kernel(model, y, dt, scheme)
-                _check_result(y, tau)
+                y = kernel(model, y, dt, scheme)[0]
+                _check_result(y)
                 states.append(y)
                 current = y.tobytes()
                 if current == last:

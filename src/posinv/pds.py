@@ -273,6 +273,7 @@ def load_model(source: str) -> ModelDocument:
         return resolve_builtin(source)
     try:
         with open(source, encoding="utf-8") as handle:
-            return parse_model(handle.read())
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
         raise ModelError(f"cannot read model file {source!r}: {exc}") from exc
+    return parse_model(text)

@@ -92,6 +92,15 @@ class TestIntegrate:
         assert code == 2
         assert "cannot read model file" in err
 
+    def test_unreadable_model_file_exits_2(self, capsys, tmp_path):
+        """A model file that is not UTF-8 is a usage error, as a missing one is."""
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"kind linear\ndim 1\nmatrix\n0\ny0 \xff\n")
+        code, _, err = run(capsys, "integrate", "--model", str(path),
+                           "--scheme", "geco1", "--dt", "1", "--steps", "1")
+        assert code == 2
+        assert "cannot read model file" in err
+
     def test_unknown_scheme_exits_2(self, capsys):
         code, _, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
                          "--scheme", "rk4", "--dt", "1", "--steps", "1")

@@ -187,6 +187,31 @@ def boundary_tau_inputs():
             yield [tuple(t) for t in zip(c.tolist(), d.tolist(), s.tolist())], float(r)
 
 
+def subnormal_tau_inputs():
+    """3000 seeded sets of one to three triples (c, d, sigma) with r = 1, most c subnormal.
+
+    c is 2^U(-1074, -1000) with probability 0.7, else 2^U(-1022, 10);
+    d = -2^U(-60, 60); sigma is c*2^U(-3, 3) with probability 0.6, else
+    2^U(-1074, 1023), and never below 2^-1074.
+    """
+    rng = np.random.default_rng(17)
+    for _ in range(3000):
+        triples = []
+        for _ in range(rng.integers(1, 4)):
+            c = 2.0 ** (rng.uniform(-1074, -1000) if rng.random() < 0.7 else rng.uniform(-1022, 10))
+            d = -(2.0 ** rng.uniform(-60, 60))
+            s = c * 2.0 ** rng.uniform(-3, 3) if rng.random() < 0.6 else 2.0 ** rng.uniform(-1074, 1023)
+            triples.append((c, d, max(s, math.ulp(0.0))))
+        yield triples
+
+
+def exact_g(factors, r, tau):
+    """G(tau) at 60 digits, with the floats taken exactly."""
+    with mp.workdps(60):
+        prod = mp.fprod((mp.mpf(c) + mp.mpf(d) * mp.mpf(tau)) / mp.mpf(s) for c, d, s in factors)
+        return prod ** mp.mpf(r) - mp.mpf(tau)
+
+
 def rescaled(c, d, s):
     """The triple times 2^k that puts its largest entry in [2^1020, 2^1021).
 
@@ -199,12 +224,20 @@ def rescaled(c, d, s):
 
 
 def clamped_newton(factors, r):
-    """The subnormal path without the boundary test: Newton on rescaled triples, then the clamp."""
+    """The subnormal path without the boundary test: Newton on rescaled triples, the clamp, the floor.
+
+    A tau that is not positive becomes 2^-1074 where that keeps every
+    factor positive; otherwise the solve fails.
+    """
     tau = integrators._newton_root([rescaled(*triple) for triple in factors], r)
     for c, d, _ in factors:
         if not c + d * tau > 0.0:
             tau = integrators._last_positive_tau(c, d)
-    return tau
+    if tau > 0.0:
+        return tau
+    if all(c + d * math.ulp(0.0) > 0.0 for c, d, _ in factors):
+        return math.ulp(0.0)
+    raise SolverError("no positive float tau keeps every factor positive")
 
 
 class TestPhi:
@@ -267,7 +300,7 @@ class TestSolveTau:
         assert info.value.bracket == (0.0, tiny)
 
     def test_integrate_reports_the_same_case_as_a_nonpositive_factor(self):
-        """Inside ``integrate`` that case stays the checked-result ``NumericsError``.
+        """Inside ``integrate`` that case is the same ``SolverError``, naming the factor.
 
         Rate 2^1023 on y_1 = 2^-1074 at dt = 2^51 makes the active triple
         (2^-1074, -1, 2^-1074) of the first gbbks1 step.
@@ -278,9 +311,10 @@ class TestSolveTau:
             production=lambda y: np.array([0.0, rate * y[0]]),
             destruction_rate=lambda y: np.array([rate, 0.0]),
         )
-        with pytest.raises(IntegrationError, match="factor must be positive, got 0.0") as info:
+        with pytest.raises(IntegrationError, match=r"at c = 5e-324, d = -1.0$") as info:
             integrate(model, make_scheme("gbbks1"), np.array([math.ulp(0.0), 1.0]), 2.0**51, 3)
-        assert type(info.value.cause) is NumericsError
+        assert type(info.value.cause) is SolverError
+        assert info.value.cause.bracket == (0.0, math.ulp(0.0))
         assert len(info.value.trajectory) == 1
 
     def test_residual_and_positivity_invariants(self):
@@ -420,13 +454,14 @@ class TestSolveTau:
     def test_clamp_to_a_zero_boundary_raises(self):
         """c = sigma = 2^-1074, d = -(1 - 2^-53): the root lies just above 2^-1074.
 
-        Rescaled, the factor at 2^-1074 is 2^-53 * c > 0 and Newton returns
-        2^-1074; unscaled, d*2^-1074 rounds to -c and the factor to 0.0.  Its
-        boundary is 0.0, and 2^-1074 may not replace it.
+        Rescaled, the slope at tau = 0 overflows and tau_max rounds to
+        2^-1074, so Newton bisects down to 0.0; unscaled, d*2^-1074 rounds to
+        -c and the factor to 0.0.  Its boundary is 0.0, and the floor rule's
+        2^-1074 may not replace it.
         """
         tiny, d = math.ulp(0.0), -(1.0 - 2.0**-53)
         assert tiny + d * tiny == 0.0
-        assert integrators._newton_root([rescaled(tiny, d, tiny)], 1.0) == tiny
+        assert integrators._newton_root([rescaled(tiny, d, tiny)], 1.0) == 0.0
         with pytest.raises(SolverError):
             solve_tau([tiny], [d], [tiny], 1.0)
 
@@ -445,6 +480,58 @@ class TestSolveTau:
         factors = [(4 * tiny, -40 * tiny, big), (1.0, -0.5, 1.0)]
         assert rescaled(*factors[0]) == factors[0]
         assert integrators._newton_tau(factors, 1.0) == clamped_newton(factors, 1.0) == tiny
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [(1e-309, -0.79, 2.54)],
+            [(1e-310, -0.79, 2.54)],
+            [(1e-320, -0.79, 2.54)],
+            [(3e-308, -0.79, 3e-308)],
+            [(1e-309, -0.79, 1e-309)],
+            [(4.111665503586704e-309, -0.7928602311622163, 2.5351319019689043)],
+            [
+                (5.078014108784689, -3.646692192958656, 4.895265827995587),
+                (4.111665503586704e-309, -0.7928602311622163, 2.5351319019689043),
+            ],
+        ],
+        ids=["1e-309", "1e-310", "1e-320", "sigma=c-normal", "sigma=c-subnormal", "captured", "two-factor"],
+    )
+    def test_overflowed_slope_is_not_convergence(self, factors):
+        """Near these roots d/(c + d*tau) overflows, and the Newton step -G/G' is 0.0.
+
+        Such a step is no convergence, and the loop bisects instead.  tau
+        is within 1e-14 relative or 2^-1073 absolute of the 50-digit root
+        (a root near 3e-310 has only ~45 significant bits), or it is the
+        positivity boundary below the root, where the exact G is still
+        positive (the cases with sigma = c, the shape of the bbks1 preset).
+        """
+        c, d, s = zip(*factors)
+        tau = solve_tau(c, d, s, 1.0)
+        assert all(ci + di * tau > 0.0 for ci, di in zip(c, d))
+        root = oracle.product_term_root(c, d, s, 1.0)
+        if abs(tau - root) > max(1e-14 * root, 2.0**-1073):
+            up = math.nextafter(tau, math.inf)
+            assert not all(ci + di * up > 0.0 for ci, di in zip(c, d))
+            assert exact_g(factors, 1.0, tau) > 0
+
+    def test_positive_tau_or_solver_error_on_subnormal_data(self):
+        """The floor rule: ``SolverError`` exactly when some c + d*2^-1074 is not positive.
+
+        Otherwise 2^-1074 keeps every factor positive, and the solve returns
+        a positive tau that keeps every float factor c + d*tau positive.
+        """
+        raised = 0
+        for factors in subnormal_tau_inputs():
+            c, d, s = zip(*factors)
+            if all(ci + di * math.ulp(0.0) > 0.0 for ci, di in zip(c, d)):
+                tau = solve_tau(c, d, s, 1.0)
+                assert tau > 0.0 and all(ci + di * tau > 0.0 for ci, di in zip(c, d)), factors
+            else:
+                with pytest.raises(SolverError):
+                    solve_tau(c, d, s, 1.0)
+                raised += 1
+        assert 500 < raised < 1500
 
     @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
     def test_subnormal_rate_beside_large_component(self, c):
@@ -605,6 +692,31 @@ class TestSingleSteps:
         assert type(err.value.cause) is ModelError
         assert str(err.value.cause) == f"{callable_name} returned shape (1,)"
         assert err.value.trajectory.states.tolist() == [Y21.tolist()]
+
+    @pytest.mark.parametrize("name", ["gbbks1", "gbbks2"])
+    def test_overflowed_slope_is_a_non_finite_state(self, name):
+        """dt*f_1 = -inf on the active component y_1 = 2e-308: every positive tau leaves it at -inf.
+
+        The step fails before the product-term solve, whose positivity
+        boundary of a subnormal c would never settle on an infinite d.
+        """
+        rate = 1.7e308
+        model = GeneralPds(
+            dimension=2,
+            production=lambda y: np.array([0.0, rate * y[0]]),
+            destruction_rate=lambda y: np.array([rate, 0.0]),
+        )
+        with pytest.raises(NumericsError, match="non-finite state") as info:
+            step(model, make_scheme(name), np.array([2e-308, 1.0]), 1.7e308)
+        assert type(info.value) is NumericsError
+
+    @pytest.mark.parametrize("name", ["gbbks1", "gbbks2"])
+    def test_overflowed_slope_on_the_2x2_fails_at_step_two(self, name):
+        """On ``paper-2x2`` from (2, 1) at dt = 1e308, dt*f overflows in the second step."""
+        with pytest.raises(IntegrationError, match="step 2 .*non-finite state") as info:
+            integrate(UNIT_2X2, make_scheme(name), Y21, 1e308, 5)
+        assert type(info.value.cause) is NumericsError
+        assert len(info.value.trajectory) == 2
 
     def test_gbbks_rejects_nonpositive_sigma(self):
         bad = GbbksStrategy(
@@ -1006,3 +1118,20 @@ def test_gbbks2_settles_at_a_spurious_fixed_point_above_dt_star():
     y_next, _, aux = step(MODEL_5X5, scheme, y, dt)
     assert y_next.tobytes() == y.tobytes()
     assert dt * aux["tau_inner"] * -(5.0 + math.sqrt(3.0)) == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
+    """gbbks2 on ``paper-5x5`` above dt*: a subnormal root is solved, a root below 2^-1074 fails.
+
+    From the builtin y0 at dt = 1.5 every step completes, though components
+    reach the subnormal range.  From (1, 2, 3, 4, 5) at 10*dt* a component
+    reaches 1e-323 at step 882, where c + d*2^-1074 is not positive: the
+    run ends with the ``SolverError`` that names that factor.
+    """
+    scheme = make_scheme("gbbks2")
+    traj = integrate(MODEL_5X5, scheme, PAPER_5X5.y0, 1.5, 3000)
+    assert np.min(traj.min_component[1:]) > 0.0
+    dt = 10.0 * stability.critical_step(MODEL_5X5, scheme).dt_star
+    with pytest.raises(IntegrationError, match=r"^step 882 .* at c = 1e-323, d = ") as info:
+        integrate(MODEL_5X5, scheme, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt, 3000)
+    assert type(info.value.cause) is SolverError

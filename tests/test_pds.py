@@ -213,6 +213,14 @@ class TestModelFiles:
         npt.assert_array_equal(doc.matrix, FIVE)
         npt.assert_array_equal(doc.y0, [0.0, 3.0, 3.0, 3.0, 4.0])
 
+    def test_load_model_unreadable_file_is_a_model_error(self, tmp_path):
+        """A file that is not UTF-8 and a path with a NUL byte fail as the file does not read."""
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"kind linear\ndim 1\nmatrix\n0\ny0 \xff\n")
+        for source in (str(path), str(path) + "\0"):
+            with pytest.raises(ModelError, match="cannot read model file"):
+                pds.load_model(source)
+
     def test_load_model_missing_file(self):
         """A source is a ``builtin:`` address or a path; document text is no file."""
         for source in ("/no/such/model.txt", "kind linear\ndim 1\nmatrix\n0\ny0 1\n"):

@@ -19,7 +19,15 @@ import pytest
 
 from posinv import stability
 from posinv.errors import NumericsError
-from posinv.integrators import SCHEME_IDS, make_scheme, phi, step_map
+from posinv.integrators import (
+    SCHEME_IDS,
+    GbbksStrategy,
+    SchemeSpec,
+    integrate,
+    make_scheme,
+    phi,
+    step_map,
+)
 from posinv.pds import LinearPds, steady_state_for
 
 from test_linalg import FIVE, two_by_two
@@ -30,6 +38,23 @@ Z_STAR = -3.92235950274307894119
 
 MODEL_5X5 = LinearPds.from_matrix(FIVE)
 UNIT_2X2 = LinearPds.from_matrix(two_by_two(1, 1, 1))
+
+
+def family_strategy(sigma, r, q):
+    """A product-term strategy with pi = y and the constant exponents r and q."""
+    return GbbksStrategy(sigma=sigma, r=lambda y: r, pi=lambda y: y, q=lambda y: q)
+
+
+#: gBBKS schemes other than the presets; each has sigma(v, v) = pi(v) = v.
+FAMILY = {
+    "gbbks1-r2": SchemeSpec("gbbks1", strategy=family_strategy(lambda y, y2=None: y, 2.0, 1.0)),
+    **{
+        f"gbbks2-alpha{alpha:g}": SchemeSpec(
+            "gbbks2", alpha=alpha, strategy=family_strategy(lambda y, y2: np.sqrt(y * y2), 3.0, 2.0)
+        )
+        for alpha in (0.5, 1.0, 3.0)
+    },
+}
 
 
 class TestStabilityValue:
@@ -217,6 +242,28 @@ class TestClassifyFixedPoint:
         below = stability.classify_fixed_point(model, scheme, y_star, 0.9 * dt_star)
         above = stability.classify_fixed_point(model, scheme, y_star, 1.1 * dt_star)
         assert (below.verdict, above.verdict) == ("stable", "unstable")
+
+    @pytest.mark.parametrize("name", FAMILY)
+    def test_gbbks_family_beyond_the_presets(self, name):
+        """Strategies other than the presets, with sigma(v, v) = pi(v) = v, share the presets' dt*.
+
+        gbbks1 with r = 2, and gbbks2 with q = 2, r = 3, pi = y and
+        sigma = sqrt(y*y2): the verdict flips across dt* (with the
+        finite-difference cross-check), a 1e-5 in-plane perturbation of y*
+        decays below 1e-12 at 0.95*dt* and grows past 1e-3 at 1.05*dt*, and
+        the invariant stays to 1e-12.
+        """
+        scheme = FAMILY[name]
+        dt_star = stability.critical_step(MODEL_5X5, scheme).dt_star
+        start = self.Y_STAR_5 + 1e-5 * np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+        for factor, verdict in ((0.95, "stable"), (1.05, "unstable")):
+            dt = factor * dt_star
+            report = stability.classify_fixed_point(MODEL_5X5, scheme, self.Y_STAR_5, dt)
+            assert report.verdict == verdict
+            traj = integrate(MODEL_5X5, scheme, start, dt, 3000)
+            distance = np.max(np.abs(traj.final - self.Y_STAR_5))
+            assert distance <= 1e-12 if verdict == "stable" else distance > 1e-3
+            assert np.max(traj.invariant_defect) <= 1e-12
 
     def test_exactly_critical_step_is_inconclusive(self):
         """On the tolerance band around the unit circle no verdict is guessed."""
