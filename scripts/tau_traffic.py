@@ -14,15 +14,17 @@ to this script), each in its own process, and prints for each workload:
   base tree returned a positivity boundary below the root (the next float
   up would make a float factor c + d*tau nonpositive, and the exact G is
   still positive there) and the rest;
-* evaluations of G per call (every call of the evaluator, also the one
+* evaluations of G per call (every call of ``_evaluate``, also the one
   that tests the positivity boundary), how many calls were decided without
-  the Newton loop, on each tree;
+  the Newton loop (no call of ``_newton_root``), on each tree;
 * for every call whose tau differs, the relative distance of each tree's
   tau from the 50-digit root (``gen_oracle_values.product_term_root``), and
   whether each keeps every float factor positive.
 
 Exits 1 when a call that differs is farther from the root on SRC than on
-BASE_SRC, or leaves a float factor nonpositive where BASE_SRC did not.
+BASE_SRC, or leaves a float factor nonpositive where BASE_SRC did not.  A
+replay exits 1, naming the function, on a tree whose ``posinv.integrators``
+has no ``_evaluate`` or no ``_newton_root``, instead of counting zeros.
 
 The steps also run on their own:
 
@@ -44,8 +46,8 @@ from mpmath import mp
 ROOT = Path(__file__).resolve().parent.parent
 #: (workload, seed) of the recorded passes.
 PASSES = (("reproduce", 0), ("stiff-sweep", 0))
-#: Names of the G evaluator in the trees replayed.
-EVALUATORS = ("_evaluate",)
+#: The functions whose calls a replay counts: the G evaluator and the Newton loop.
+EVALUATOR, NEWTON_LOOP = "_evaluate", "_newton_root"
 
 
 def import_posinv(src: str):
@@ -89,6 +91,11 @@ def record(src: str, out: str) -> None:
 def replay(src: str, traffic_path: str, out: str) -> None:
     """Solve every recorded call again; write each tau, its G evaluations and its Newton loops."""
     integrators = import_posinv(src)
+    for name in (EVALUATOR, NEWTON_LOOP):
+        # calls are counted by code name, so a renamed function would count none
+        code = getattr(getattr(integrators, name, None), "__code__", None)
+        if code is None or code.co_name != name:
+            raise SystemExit(f"{integrators.__file__} has no function {name}; its calls cannot be counted")
     solve = integrators._newton_tau
     traffic = json.loads(Path(traffic_path).read_text())
     code_file = integrators.__file__
@@ -100,9 +107,9 @@ def replay(src: str, traffic_path: str, out: str) -> None:
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code.co_filename == code_file:
-                if frame.f_code.co_name in EVALUATORS:
+                if frame.f_code.co_name == EVALUATOR:
                     count["evals"] += 1
-                elif frame.f_code.co_name == "_newton_root":
+                elif frame.f_code.co_name == NEWTON_LOOP:
                     count["loops"] += 1
 
         sys.setprofile(profile)

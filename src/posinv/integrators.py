@@ -80,9 +80,9 @@ def solve_tau(c, d, sigma, r: float) -> float:
     slope that overflowed, and follows a point where some factor
     c_m + d_m*tau is not positive in floating point.  For r >= 1, G is
     convex and the Newton iterates climb to the root from the left.
-    Iteration stops when the Newton step is within one ulp of tau; if the
-    residual at the new iterate exceeds 1e-14 its ulp neighbours are tried.
-    At most 200 iterations.
+    Iteration stops at a float root (G(tau) is 0.0) or when the Newton step
+    is within one ulp of tau; if the residual at the new iterate exceeds
+    1e-14 its ulp neighbours are tried.  At most 200 iterations.
 
     G is evaluated at full precision on subnormal data: a triple with an
     entry below the smallest normal float is multiplied by the power of two
@@ -96,15 +96,15 @@ def solve_tau(c, d, sigma, r: float) -> float:
     returned.  Where the unscaled update of a rescaled triple is not
     positive at the root (as for c = sigma = 2^-1074), tau is lowered to the
     largest float that keeps it positive, (c - 2^-1075) / (-d) formed
-    exactly after rescaling and corrected by a few ulps.  Where G at that
-    boundary exceeds four times its rounding-error bound, the root lies
-    above it and the boundary is returned without the Newton loop.  A tau
-    that is still not positive becomes 2^-1074 where that keeps every factor
-    positive.  An empty index set returns 1 (the callers' empty product).
+    exactly after scaling (c, d) by a power of two, then settled to the ulp.
+    Where G at that boundary exceeds four times its rounding-error bound,
+    the root lies above it and the boundary is returned without Newton.  A
+    tau that is still not positive becomes 2^-1074 where that keeps every
+    factor positive.  An empty index set returns 1, the empty product.
 
     Raises ValueError on data outside the requirements or not finite, and
-    :class:`SolverError` carrying the bracket (0, tau_max) and naming a
-    binding factor when no positive float tau keeps every factor positive.
+    :class:`SolverError` with the bracket (0, max(tau_max, 2^-1074)), naming
+    a binding factor, when no positive float tau keeps every factor positive.
     """
     c, d, sigma = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (c, d, sigma))
     if len(c) == 0:
@@ -125,17 +125,31 @@ _MIN_NORMAL = 2.0**-1022
 def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
     """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples.
 
-    All-normal triples go to the Newton loop as they are, others to
-    :func:`_lifted_root`.  The one exit of the solve: a positive tau is
-    returned, one that is not becomes 2^-1074 if that keeps every float
+    One pass scales each triple with a subnormal entry by 2^k, k > 0, and
+    takes b, the least positivity boundary of a subnormal c (only such a
+    factor binds); all-normal triples reach Newton as they are.  If G(b) is
+    positive beyond rounding (:func:`_root_above`), b is the answer, else
+    Newton's root clamped to b.  The one exit of the solve: a positive tau
+    is returned, one that is not becomes 2^-1074 if that keeps every float
     factor positive, and otherwise :class:`SolverError` names a factor.
     """
-    for ci, di, si in factors:
+    scaled, boundary = factors, math.inf
+    for i, (ci, di, si) in enumerate(factors):
         if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
-            tau = _lifted_root(factors, r)
-            break
+            k = 1021 - math.frexp(max(ci, -di, si))[1]
+            if k > 0:
+                if scaled is factors:
+                    scaled = factors.copy()
+                scaled[i] = (math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k))
+            if ci < _MIN_NORMAL:
+                boundary = min(boundary, _last_positive_tau(ci, di))
+    # a boundary of 0.0 is no positive tau to return
+    if 0.0 < boundary < math.inf and _root_above(scaled, r, boundary):
+        tau = boundary
     else:
-        tau = _newton_root(factors, r)
+        tau = _newton_root(scaled, r)
+        if tau > boundary:
+            tau = boundary
     if tau > 0.0:
         return tau
     for ci, di, _ in factors:
@@ -143,52 +157,24 @@ def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
             raise SolverError(
                 f"no positive float tau keeps every product-term factor c + d*tau positive: "
                 f"c + d*2^-1074 <= 0 at c = {ci!r}, d = {di!r}",
-                bracket=(0.0, min(cj / -dj for cj, dj, _ in factors)),
+                # tau_max may underflow; the bracket still holds the positive root
+                bracket=(0.0, max(min(cj / -dj for cj, dj, _ in factors), math.ulp(0.0))),
             )
     return math.ulp(0.0)
 
 
-def _lifted_root(factors: list[tuple[float, float, float]], r: float) -> float:
-    """Newton on rescaled triples, clamped to b, the least boundary of a subnormal c.
-
-    Only such a factor can bind.  When G(b) is positive beyond rounding
-    (:func:`_root_above`), the root lies above b, and b is returned at once.
-    """
-    scaled, boundaries = [], []
-    for ci, di, si in factors:
-        # a triple with a subnormal entry is multiplied by 2^k, if k > 0
-        k = _lift(ci, di, si) if min(ci, -di, si) < _MIN_NORMAL else 0
-        if k > 0:
-            scaled.append((math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k)))
-        else:
-            scaled.append((ci, di, si))
-        if ci < _MIN_NORMAL:
-            boundaries.append(_last_positive_tau(ci, di, k))
-    boundary = min(boundaries, default=math.inf)
-    # a boundary of 0.0 is no positive tau to return
-    if 0.0 < boundary < math.inf and _root_above(scaled, r, boundary):
-        return boundary
-    return min(_newton_root(scaled, r), boundary)
-
-
-def _lift(*values: float) -> int:
-    """Exponent k that puts the largest magnitude among ``values`` in [2^1020, 2^1021)."""
-    return 1021 - math.frexp(max(map(abs, values)))[1]
-
-
-def _last_positive_tau(c: float, d: float, k: int = 0) -> float:
+def _last_positive_tau(c: float, d: float) -> float:
     """Largest float tau with c + d*tau > 0 in floating point (c > 0, d < 0).
 
     For c <= 2^-1022, the case the solver meets, the floats below c are
     2^-1074 apart: the float d*tau stays above -c exactly when -d*tau is
     below c - 2^-1075 (or equal to it, if that tie rounds away from c).
-    Scaled by 2^k, that threshold is exact and the quotient is rounded once,
-    so a nextafter or two settles the last ulp.  Every k > 0 that keeps
-    c*2^k and d*2^k finite gives the same quotient; for k <= 0 the exponent
-    of :func:`_lift` on (c, d) is used.
+    Scaled by the 2^k that puts max(c, -d) in [2^1020, 2^1021), that
+    threshold is exact when k > 0 and the quotient is rounded once, so a
+    nextafter or two settles the last ulp.  k <= 0 means -d >= 2^1020,
+    where the answer is 0.0 and the loops step down to it.
     """
-    if k <= 0:
-        k = _lift(c, d)
+    k = 1021 - math.frexp(max(c, -d))[1]
     tau = (math.ldexp(c, k) - math.ldexp(0.5, k - 1074)) / math.ldexp(-d, k)
     while not c + d * tau > 0.0:
         tau = math.nextafter(tau, 0.0)
@@ -239,7 +225,8 @@ def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
         else:
             g, slope = point
             if g == 0.0:
-                # at tau = 0 only when G(0) underflowed: the floor rule of _newton_tau decides
+                # tau is a float root, where most solves on order-one data end; at
+                # tau = 0, G(0) underflowed and the floor rule of _newton_tau decides
                 return tau
             if g > 0.0:
                 lo = tau

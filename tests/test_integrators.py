@@ -205,6 +205,17 @@ def subnormal_tau_inputs():
         yield triples
 
 
+def all_normal_tau_inputs():
+    """2000 seeded sets of one to four triples with entries 2^U(-1022, 1000); r is 1 or U(0.4, 3)."""
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        triples = [
+            (2.0 ** rng.uniform(-1022, 1000), -(2.0 ** rng.uniform(-1022, 1000)), 2.0 ** rng.uniform(-1022, 1000))
+            for _ in range(rng.integers(1, 5))
+        ]
+        yield triples, 1.0 if rng.random() < 0.5 else rng.uniform(0.4, 3.0)
+
+
 def exact_g(factors, r, tau):
     """G(tau) at 60 digits, with the floats taken exactly."""
     with mp.workdps(60):
@@ -298,6 +309,15 @@ class TestSolveTau:
         with pytest.raises(SolverError) as info:
             solve_tau([tiny], [-1.0], [tiny], 1.0)
         assert info.value.bracket == (0.0, tiny)
+
+    def test_underflowed_tau_max_leaves_the_bracket_nonempty(self):
+        """c = 1e-323, d = -6.34: c/(-d) underflows to 0.0, but the root is positive.
+
+        The bracket's upper end is at least 2^-1074, so it still holds the root.
+        """
+        with pytest.raises(SolverError) as info:
+            solve_tau([1e-323], [-6.34], [1.0], 1.0)
+        assert info.value.bracket == (0.0, math.ulp(0.0))
 
     def test_integrate_reports_the_same_case_as_a_nonpositive_factor(self):
         """Inside ``integrate`` that case is the same ``SolverError``, naming the factor.
@@ -403,6 +423,52 @@ class TestSolveTau:
         assert 0.0 < tau < root
         assert (c + d * tau > 0.0).all()
         assert (c + d * math.nextafter(tau, math.inf) == 0.0).all()
+
+    def test_last_positive_tau_over_its_whole_range(self):
+        """20,000 seeded (c, d): b keeps c + d*b positive, and the next float up does not.
+
+        c is 2^U(-1074, -1022) or k * 2^-1074 with k from 1 to 64; -d is
+        2^U(-1074, 1023.99).  That includes -d >= 2^1020, where the scaling
+        exponent is not positive, the threshold is not exact and only the
+        nextafter loops settle b.  A b of 0.0 means that no positive float
+        keeps the factor positive.
+        """
+        rng = np.random.default_rng(19)
+        tiny = math.ulp(0.0)
+        zeros = huge = 0
+        for _ in range(20_000):
+            c = 2.0 ** rng.uniform(-1074, -1022) if rng.random() < 0.7 else int(rng.integers(1, 65)) * tiny
+            d = -(2.0 ** rng.uniform(-1074, 1023.99))
+            b = integrators._last_positive_tau(c, d)
+            if b == 0.0:
+                assert not c + d * tiny > 0.0, (c, d)
+                zeros += 1
+            else:
+                assert c + d * b > 0.0, (c, d)
+                assert not c + d * math.nextafter(b, math.inf) > 0.0, (c, d)
+            huge += -d >= 2.0**1020
+        assert zeros > 1000 and huge > 10
+
+    def test_all_normal_solve_is_the_bare_newton_loop(self):
+        """On triples of normal floats ``_newton_tau`` returns the bits of ``_newton_root``.
+
+        Nothing is scaled and no boundary clamps, so a solve with no
+        subnormal entry (every ``reproduce`` solve) runs the Newton loop
+        alone.  Draws whose Newton loop ends at a tau that is not positive
+        are left to the floor rule and its tests, and draws where it raises
+        (``prod**r`` overflows for r > 1 near the float limit) are skipped.
+        """
+        desk = [(list(zip(c.tolist(), d.tolist(), s.tolist())), r) for c, d, s, r in desk_tau_inputs()]
+        compared = 0
+        for factors, r in desk + list(all_normal_tau_inputs()):
+            try:
+                tau = integrators._newton_root(factors, r)
+            except OverflowError:
+                continue
+            if tau > 0.0:
+                assert integrators._newton_tau(factors, r).hex() == tau.hex(), (factors, r)
+                compared += 1
+        assert compared > 400 + 900
 
     def test_boundary_test_gives_the_bits_of_newton_and_clamp(self, monkeypatch):
         """Where the boundary test settles a solve, Newton would have been clamped to the same bits.
@@ -1126,7 +1192,8 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
     From the builtin y0 at dt = 1.5 every step completes, though components
     reach the subnormal range.  From (1, 2, 3, 4, 5) at 10*dt* a component
     reaches 1e-323 at step 882, where c + d*2^-1074 is not positive: the
-    run ends with the ``SolverError`` that names that factor.
+    run ends with the ``SolverError`` that names that factor; its bracket
+    is not empty, although c/(-d) underflows there.
     """
     scheme = make_scheme("gbbks2")
     traj = integrate(MODEL_5X5, scheme, PAPER_5X5.y0, 1.5, 3000)
@@ -1135,3 +1202,21 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
     with pytest.raises(IntegrationError, match=r"^step 882 .* at c = 1e-323, d = ") as info:
         integrate(MODEL_5X5, scheme, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt, 3000)
     assert type(info.value.cause) is SolverError
+    assert info.value.cause.bracket[1] > 0.0
+
+
+@pytest.mark.parametrize("name", ["_evaluate", "_newton_root"])
+def test_tau_traffic_replay_needs_the_functions_it_counts(name, monkeypatch, tmp_path):
+    """Without ``_evaluate`` or ``_newton_root`` the replay would count zero calls; it exits instead."""
+    spec = importlib.util.spec_from_file_location(
+        "tau_traffic", Path(__file__).resolve().parent.parent / "scripts" / "tau_traffic.py"
+    )
+    tau_traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tau_traffic)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delattr(integrators, name)
+    traffic = tmp_path / "traffic.json"
+    traffic.write_text("{}")
+    src = str(Path(integrators.__file__).resolve().parent.parent)
+    with pytest.raises(SystemExit, match=f"has no function {name};"):
+        tau_traffic.replay(src, str(traffic), str(tmp_path / "result.json"))
