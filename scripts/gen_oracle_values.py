@@ -113,6 +113,14 @@ def product_term_root(c, d, sigma, r, dps=50):
                            maxsteps=200, verify=False)
         width = mp.mpf(10) ** (10 - dps)
         if not residual(root * (1 - width)) > 0 > residual(root * (1 + width)):
+            # illinois stalls where G is far from linear (a G(0) beyond the
+            # float range, a root within 1e-100 of tau_max); bisect instead
+            lo, hi = mp.mpf(0), tau_max
+            while hi - lo > width * hi / 4:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if residual(mid) > 0 else (lo, mid)
+            root = (lo + hi) / 2
+        if not residual(root * (1 - width)) > 0 > residual(root * (1 + width)):
             raise ValueError(f"product-term root not bracketed to {width} relative")
         return root
 

@@ -55,15 +55,15 @@ def phi(x: float) -> float:
     series below the cutoff where even expm1/x would round.
     """
     x = float(x)
+    if _PHI_SERIES_CUTOFF <= x < math.inf:  # the common case first
+        return -math.expm1(-x) / x
     if math.isnan(x) or x < 0.0:
         raise ValueError(f"phi argument must be nonnegative, got {x}")
     if math.isinf(x):
         return 0.0
     if x == 0.0:
         return 1.0
-    if x < _PHI_SERIES_CUTOFF:
-        return 1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0
-    return -math.expm1(-x) / x
+    return 1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0
 
 
 def solve_tau(c, d, sigma, r: float) -> float:
@@ -170,21 +170,24 @@ def _last_positive_tau(c: float, d: float) -> float:
     2^-1074 apart: the float d*tau stays above -c exactly when -d*tau is
     below c - 2^-1075 (or equal to it, if that tie rounds away from c).
     Scaled by the 2^k that puts max(c, -d) in [2^1020, 2^1021), that
-    threshold is exact when k > 0 and the quotient is rounded once, so a
-    nextafter or two settles the last ulp.  k <= 0 means -d >= 2^1020,
-    where the answer is 0.0 and the loops step down to it.
+    threshold is exact when k > 0 and the quotient is rounded once, so it
+    is never below the answer and at most one step down settles the last
+    ulp.  k <= 0 means -d >= 2^1020, where the answer is 0.0 and the loop
+    steps down to it.
     """
     k = 1021 - math.frexp(max(c, -d))[1]
     tau = (math.ldexp(c, k) - math.ldexp(0.5, k - 1074)) / math.ldexp(-d, k)
     while not c + d * tau > 0.0:
         tau = math.nextafter(tau, 0.0)
-    while c + d * math.nextafter(tau, math.inf) > 0.0:
-        tau = math.nextafter(tau, math.inf)
     return tau
 
 
 def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
-    """(G(tau), G'(tau)) in the arithmetic of ``factors``, or None at a nonpositive factor."""
+    """(G(tau), G'(tau)) in the arithmetic of ``factors``, or None at a nonpositive factor.
+
+    A power ``prod**r`` beyond the float range is +inf: G is then positive,
+    and the root lies above tau.
+    """
     prod = 1.0
     slope_sum = 0.0
     for ci, di, si in factors:
@@ -193,7 +196,10 @@ def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
             return None
         prod *= num / si
         slope_sum += di / num
-    p = prod**r
+    try:
+        p = prod**r
+    except OverflowError:
+        p = math.inf
     return p - tau, p * r * slope_sum - 1.0
 
 
@@ -296,8 +302,13 @@ class GbbksStrategy:
         """Classic second-order preset: pi = y, sigma_m = y_m^(1-1/a) * y2_m^(1/a), q = r = 1."""
         alpha = float(alpha)
         e1, e2 = 1.0 - 1.0 / alpha, 1.0 / alpha
+        if e1 == 0.0:
+            # alpha = 1: y^0 is 1.0 for every y (0, inf and nan too) and y2^1.0 is y2
+            sigma = lambda y, y2: y2
+        else:
+            sigma = lambda y, y2: np.power(y, e1) * np.power(y2, e2)
         return cls(
-            sigma=lambda y, y2: np.power(y, e1) * np.power(y2, e2),
+            sigma=sigma,
             r=lambda y: 1.0,
             pi=lambda y: y,
             q=lambda y: 1.0,
@@ -373,9 +384,10 @@ def geco1_step(model, y: np.ndarray, dt: float, spec):
     is (I + Phi(dt) A) y and remains well defined on the boundary of the
     positive orthant.  :func:`step` is the checked form.
     """
-    arg = dt * model.destruction_rate_sum(y)
+    f, rate_sum = model.rhs_and_rate_sum(y)
+    arg = dt * rate_sum
     factor = dt * phi(arg)
-    return y + factor * model.rhs(y), 1.0, {"arg": arg}
+    return y + factor * f, 1.0, {"arg": arg}
 
 
 def geco2_step(model, y: np.ndarray, dt: float, spec):
@@ -387,9 +399,10 @@ def geco2_step(model, y: np.ndarray, dt: float, spec):
     continuous limit 0 freezes the state for this step (flagged in
     ``aux['degenerate']``).  :func:`step` is the checked form.
     """
-    inner_arg = dt * model.destruction_rate_sum(y)
+    f1, rate_sum = model.rhs_and_rate_sum(y)
+    inner_arg = dt * rate_sum
     inner_phi = phi(inner_arg)
-    ys, f1 = y.tolist(), model.rhs(y).tolist()
+    ys, f1 = y.tolist(), f1.tolist()
     h = dt * inner_phi
     y2 = [yi + h * fi for yi, fi in zip(ys, f1)]
     if not all(map(math.isfinite, y2)):
@@ -397,28 +410,44 @@ def geco2_step(model, y: np.ndarray, dt: float, spec):
     f2 = model.rhs(np.array(y2)).tolist()
     twice = 2.0 * inner_phi
     w = [twice * a - a - b for a, b in zip(f1, f2)]
-    degenerate = any(wi > 0.0 and yi == 0.0 for wi, yi in zip(w, ys))
+    degenerate = 0.0 in ys and any(wi > 0.0 and yi == 0.0 for wi, yi in zip(w, ys))
     if degenerate:
         arg = math.inf
     else:
-        # numpy's add-reduce order, which is not Python's left-to-right sum
-        arg = dt * float(np.sum(np.array([wi / yi for wi, yi in zip(w, ys) if wi > 0.0])))
+        arg = dt * _add_reduce([wi / yi for wi, yi in zip(w, ys) if wi > 0.0])
     g = (0.5 * dt) * phi(arg)
     nxt = np.array([yi + g * (a + b) for yi, a, b in zip(ys, f1, f2)])
     return nxt, 1.0, {"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate}
 
 
-def _active_solve(y: list, slope: list, sigma, r: float, label: str) -> float:
-    """Solve the product-term equation over the active set {m : slope_m < 0}."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (len(y),):
-        raise ModelError(f"{label}: strategy returned sigma of shape {sigma.shape}")
-    factors = [(ci, di, si) for ci, di, si in zip(y, slope, sigma.tolist()) if di < 0.0]
+def _add_reduce(values: list) -> float:
+    """``float(np.sum(values))``: below 8 terms numpy's add-reduce is Python's left-to-right sum."""
+    return sum(values, 0.0) if len(values) < 8 else float(np.sum(np.array(values)))
+
+
+def _active_solve(y: np.ndarray, ys: list, slope: list, sigma, r: float, label: str) -> float:
+    """Solve the product-term equation over the active set {m : slope_m < 0}.
+
+    ``ys`` is ``y.tolist()``; a ``sigma`` that is ``y`` itself reuses it.
+    """
+    if sigma is y:
+        sigmas = ys
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != (len(ys),):
+            raise ModelError(f"{label}: strategy returned sigma of shape {sigma.shape}")
+        sigmas = sigma.tolist()
+    factors, admissible = [], True
+    for factor in zip(ys, slope, sigmas):
+        if factor[1] < 0.0:
+            factors.append(factor)
+            admissible = admissible and 0.0 < factor[2] < math.inf and factor[0] > 0.0
     if not factors:
         return 1.0
-    if not all(0.0 < si < math.inf for _, _, si in factors):
-        raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
-    if min(ci for ci, _, _ in factors) <= 0.0:
+    if not admissible:
+        # the first check that fails names the fault, sigma before state
+        if not all(0.0 < si < math.inf for _, _, si in factors):
+            raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
         raise ModelError(f"{label}: state component in the active set is not positive")
     if not r > 0.0:
         raise ModelError(f"{label}: strategy exponent must be positive")
@@ -436,7 +465,7 @@ def gbbks1_step(model, y: np.ndarray, dt: float, spec):
     strategy = spec.strategy
     ys = y.tolist()
     slope = [dt * fi for fi in model.rhs(y).tolist()]
-    tau = _active_solve(ys, slope, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
+    tau = _active_solve(y, ys, slope, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
     return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau, {}
 
 
@@ -449,12 +478,12 @@ def gbbks2_step(model, y: np.ndarray, dt: float, spec):
     ys, f1 = y.tolist(), model.rhs(y).tolist()
     h = alpha * dt
     inner = [h * fi for fi in f1]
-    tau_inner = _active_solve(ys, inner, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner")
+    tau_inner = _active_solve(y, ys, inner, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner")
     y2 = np.array([yi + si * tau_inner for yi, si in zip(ys, inner)])
     f2 = model.rhs(y2).tolist()
     w1, w2 = 1.0 - 1.0 / (2.0 * alpha), 1.0 / (2.0 * alpha)
     slope = [dt * (w1 * a + w2 * b) for a, b in zip(f1, f2)]
-    tau = _active_solve(ys, slope, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
+    tau = _active_solve(y, ys, slope, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
     return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau, {"tau_inner": tau_inner}
 
 
@@ -553,10 +582,11 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
         raise ValueError("n_steps must be nonnegative")
     kernel = SCHEMES[scheme.id].kernel
     states = [y0]
-    # a non-finite state is rejected after each step, so hardware overflow
-    # warnings carry no extra information here; the exception is raised
-    # inside the handler, so no local keeps it in a cycle with this frame
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a non-finite state is rejected after each step and a non-finite sigma
+    # on the active set fails the solve, so overflow, invalid and
+    # divide-by-zero warnings carry no extra information here; the exception
+    # is raised inside the handler, so no local keeps it in a cycle with this frame
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             y = _check_step(y0, dt)
             last, before = y.tobytes(), None

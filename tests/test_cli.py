@@ -1,10 +1,15 @@
 """CLI surface: subcommands, CSV format, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posinv
 from posinv import experiments
 from posinv.cli import EXIT_CHECK_FAILED, main
 
@@ -111,6 +116,24 @@ class TestIntegrate:
                            "--scheme", "euler", "--dt", "100", "--steps", "400")
         assert code == 3
         assert "failed" in err
+
+    def test_power_of_a_zero_component_prints_no_warning(self):
+        """gbbks2 at alpha 0.5 forms y^-1 on paper-5x5's y0, which has a 0.0: stderr stays empty.
+
+        The inf is off the active set, where a non-finite sigma would fail the
+        step.  Run in a fresh process, since Python reports a warning only once
+        per place and another test may have triggered it before.
+        """
+        src = str(Path(posinv.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from posinv.cli import main; sys.exit(main())",
+             "integrate", "--model", "builtin:paper-5x5", "--scheme", "gbbks2", "--alpha", "0.5",
+             "--dt", "0.3", "--steps", "400"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert len(result.stdout.splitlines()) == 402
 
 
 class TestStability:

@@ -455,20 +455,33 @@ class TestSolveTau:
         Nothing is scaled and no boundary clamps, so a solve with no
         subnormal entry (every ``reproduce`` solve) runs the Newton loop
         alone.  Draws whose Newton loop ends at a tau that is not positive
-        are left to the floor rule and its tests, and draws where it raises
-        (``prod**r`` overflows for r > 1 near the float limit) are skipped.
+        are left to the floor rule and its tests.  A ``prod**r`` beyond the
+        float range (r > 1 near the float limit) is G = +inf, not an error.
         """
         desk = [(list(zip(c.tolist(), d.tolist(), s.tolist())), r) for c, d, s, r in desk_tau_inputs()]
         compared = 0
         for factors, r in desk + list(all_normal_tau_inputs()):
-            try:
-                tau = integrators._newton_root(factors, r)
-            except OverflowError:
-                continue
+            tau = integrators._newton_root(factors, r)
             if tau > 0.0:
                 assert integrators._newton_tau(factors, r).hex() == tau.hex(), (factors, r)
                 compared += 1
         assert compared > 400 + 900
+
+    def test_overflowed_power_is_a_positive_g(self):
+        """(1e200 - tau)^2 overflows the float range up to tau ~ 1e200 - 1e154: G is +inf there.
+
+        The root lies within 1e100 of tau_max = 1e200, so the solve bisects
+        through the overflowed range and returns a tau next to the root that
+        keeps the factor positive.
+        """
+        c, d, s = [1e200], [-1.0], [1.0]
+        with pytest.raises(OverflowError):
+            (c[0] / s[0]) ** 2.0
+        assert integrators._evaluate(list(zip(c, d, s)), 2.0, 0.0) == (math.inf, -math.inf)
+        tau = solve_tau(c, d, s, 2.0)
+        assert c[0] + d[0] * tau > 0.0
+        root = oracle.product_term_root(c, d, s, 2.0)
+        assert abs(tau - root) <= 1e-14 * root
 
     def test_boundary_test_gives_the_bits_of_newton_and_clamp(self, monkeypatch):
         """Where the boundary test settles a solve, Newton would have been clamped to the same bits.
@@ -815,6 +828,36 @@ class TestSingleSteps:
         assert str(err.value.cause) == f"{label}: strategy returned sigma of shape {shape}"
         assert err.value.trajectory.states.tolist() == [Y21.tolist()]
 
+    @pytest.mark.parametrize(
+        "y, slope, sigma, r, error, message",
+        [
+            ([0.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, -1.0, 1.0], 0.0, ModelError,
+             "x: strategy returned nonpositive sigma on the active set"),
+            ([0.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], 0.0, ModelError,
+             "x: state component in the active set is not positive"),
+            ([1.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], 0.0, ModelError,
+             "x: strategy exponent must be positive"),
+            ([1.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], 1.0, NumericsError,
+             "scheme produced a non-finite state"),
+            ([0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], "y", 1.0, ModelError,
+             "x: strategy returned nonpositive sigma on the active set"),
+        ],
+        ids=["sigma-first", "then-state", "then-exponent", "then-overflowed-slope", "sigma-is-y"],
+    )
+    def test_active_set_faults_are_reported_in_order(self, y, slope, sigma, r, error, message):
+        """Sigma, then state, then exponent, then an overflowed slope: the first fault names the error."""
+        y = np.array(y)
+        sigma = y if sigma == "y" else np.array(sigma)
+        with pytest.raises(error) as info:
+            integrators._active_solve(y, y.tolist(), slope, sigma, r, "x")
+        assert str(info.value) == message
+
+    def test_faults_off_the_active_set_are_ignored(self):
+        """A zero state and a nan or inf sigma where the slope is not negative do not fail the solve."""
+        y = np.array([0.0, 2.0, 1.0])
+        tau = integrators._active_solve(y, y.tolist(), [0.5, -1.0, 0.0], [math.nan, 2.0, math.inf], 1.0, "x")
+        assert tau == solve_tau([2.0], [-1.0], [2.0], 1.0)
+
 
 def numpy_active_solve(y, slope, sigma, r):
     """The product-term solve as the kernels once formed it, from numpy arrays."""
@@ -829,7 +872,7 @@ def numpy_active_solve(y, slope, sigma, r):
 
 def numpy_geco2(model, y, dt, spec):
     """``geco2_step`` in whole-array numpy operations, each association as the kernel's."""
-    inner_arg = dt * model.destruction_rate_sum(y)
+    inner_arg = dt * model.rhs_and_rate_sum(y)[1]
     inner_phi = phi(inner_arg)
     f1 = model.rhs(y)
     y2 = y + (dt * inner_phi) * f1
@@ -925,6 +968,87 @@ def test_kernels_match_the_numpy_formulation_bitwise():
                 compared += 1
                 degenerate += want[3].get("degenerate", False)
     assert compared >= 300 and degenerate > 0
+
+
+def test_linear_rhs_has_the_bits_of_matmul():
+    """``LinearPds.rhs`` is ``a.dot(y)``: the bits of ``a @ y`` on C- and F-ordered matrices.
+
+    Both call the same BLAS gemv.  The states spread over 600 decades and
+    hold a 0.0 and a subnormal entry; the matrices are the conservative
+    Metzler draws of ``random_conservative_system``.
+    """
+    rng = np.random.default_rng(20)
+    compared = 0
+    for n in (2, 3, 5, 8, 16, 64):
+        a = stability.random_conservative_system(n, n).a
+        for order in ("C", "F"):
+            model = LinearPds.from_matrix(np.asarray(a, order=order))
+            assert model.a.flags[f"{order}_CONTIGUOUS"]
+            for _ in range(50):
+                y = 10.0 ** rng.uniform(-300.0, 300.0, n)
+                y[rng.integers(n)] = 0.0
+                y[rng.integers(n)] = math.ulp(0.0)
+                assert model.rhs(y).tobytes() == (model.a @ y).tobytes(), (n, order, y)
+                compared += 1
+    assert compared == 600
+
+
+def test_alpha_one_sigma_has_the_bits_of_the_power_formula():
+    """``bbks2(1.0).sigma(y, y2)`` is y2: the bits of y^0 * y2^1, also on 0, subnormal and inf entries."""
+    sigma = GbbksStrategy.bbks2(1.0).sigma
+    rng = np.random.default_rng(21)
+    special = [0.0, math.ulp(0.0), 3 * math.ulp(0.0), 2.0**-1022, math.inf, sys.float_info.max]
+    for _ in range(200):
+        y = np.concatenate([10.0 ** rng.uniform(-320.0, 308.0, 6), rng.permutation(special)])
+        y2 = np.concatenate([10.0 ** rng.uniform(-320.0, 308.0, 6), rng.permutation(special)])
+        with np.errstate(divide="ignore", over="ignore"):
+            want = np.power(y, 0.0) * np.power(y2, 1.0)
+        assert sigma(y, y2).tobytes() == want.tobytes()
+    # other alphas keep the power formula
+    y, y2 = np.array([0.5, 2.0]), np.array([3.0, 0.25])
+    got = GbbksStrategy.bbks2(3.0).sigma(y, y2)
+    assert got.tobytes() == (np.power(y, 1.0 - 1.0 / 3.0) * np.power(y2, 1.0 / 3.0)).tobytes()
+
+
+def test_ratio_sum_has_the_bits_of_numpy_sum():
+    """geco2's ratio sum is numpy's add-reduce: left to right below 8 terms, numpy's own from 8 on."""
+    rng = np.random.default_rng(22)
+    for n in range(21):
+        for _ in range(500):
+            ratios = (10.0 ** rng.uniform(-20.0, 20.0, n)).tolist()
+            want = float(np.sum(np.array(ratios)))
+            assert integrators._add_reduce(ratios).hex() == want.hex(), ratios
+
+
+@pytest.mark.parametrize("name, stages", [("geco1", 1), ("geco2", 2)])
+def test_geco_evaluates_the_rates_once_per_stage(name, stages):
+    """A nonlinear model's ``destruction_rate`` runs once per stage: the rate sum comes with f(y)."""
+    calls = []
+    model = nonlinear_model()
+    rates = model.destruction_rate
+
+    def counted(y):
+        calls.append(1)
+        return rates(y)
+
+    model = dataclasses.replace(model, destruction_rate=counted)
+    y = np.array([0.3, 1.7])
+    for _ in range(10):
+        y = step(model, make_scheme(name), y, 0.5)[0]
+    assert len(calls) == 10 * stages
+
+
+def test_overflowed_power_in_integrate_is_no_raw_overflow_error():
+    """sigma = y*1e-200 with r = 2 puts G(0) beyond the float range; the run completes and stays positive."""
+    strategy = GbbksStrategy(
+        sigma=lambda y, y2=None: y * 1e-200, r=lambda y: 2.0, pi=lambda y: y, q=lambda y: 1.0
+    )
+    model = UNIT_2X2
+    for spec in (SchemeSpec("gbbks1", strategy=strategy), SchemeSpec("gbbks2", alpha=1.0, strategy=strategy)):
+        for dt in (0.1, 1.0, 10.0):
+            traj = integrate(model, spec, Y21, dt, 50)
+            assert (traj.min_component > 0.0).all()
+            assert traj.invariant_defect[-1] <= 1e-15
 
 
 class TestSchemeSpec:

@@ -83,15 +83,17 @@ class TestDestructionRateSum:
     def test_five_by_five_constant_twenty(self):
         model = pds.LinearPds.from_matrix(FIVE)
         for y in (np.ones(5), np.array([0.1, 5, 2, 0.3, 9.0]), np.zeros(5)):
-            assert model.destruction_rate_sum(y) == 20.0
+            f, rate_sum = model.rhs_and_rate_sum(y)
+            assert rate_sum == 20.0
+            assert f.tobytes() == (FIVE @ y).tobytes()
 
     def test_two_by_two_unit_parameters(self):
         model = pds.LinearPds.from_matrix(two_by_two(1, 1, 1))
-        assert model.destruction_rate_sum(np.array([2.0, 1.0])) == 2.0
+        assert model.rhs_and_rate_sum(np.array([2.0, 1.0]))[1] == 2.0
 
     def test_stiff_k100(self):
         doc = pds.resolve_builtin("builtin:paper-stiff?K=100")
-        assert doc.build().destruction_rate_sum(doc.y0) == 101.0
+        assert doc.build().rhs_and_rate_sum(doc.y0)[1] == 101.0
 
     def test_general_model_sums_rates(self):
         model = pds.GeneralPds(
@@ -99,9 +101,11 @@ class TestDestructionRateSum:
             production=lambda y: np.array([y[1] ** 2, y[0] * y[1]]),
             destruction_rate=lambda y: np.array([y[1], y[1]]),
         )
-        assert model.destruction_rate_sum(np.array([1.0, 2.0])) == 4.0
+        f, rate_sum = model.rhs_and_rate_sum(np.array([1.0, 2.0]))
+        assert rate_sum == 4.0
+        npt.assert_array_equal(f, model.rhs(np.array([1.0, 2.0])))
         # rates stay evaluable on the boundary of the positive orthant
-        assert model.destruction_rate_sum(np.array([0.0, 2.0])) == 4.0
+        assert model.rhs_and_rate_sum(np.array([0.0, 2.0]))[1] == 4.0
 
     def test_general_model_rhs_is_production_minus_destruction(self):
         model = pds.GeneralPds(
@@ -118,7 +122,7 @@ class TestDestructionRateSum:
             destruction_rate=lambda y: np.array([-1.0]),
         )
         with pytest.raises(ModelError):
-            model.destruction_rate_sum(np.array([1.0]))
+            model.rhs_and_rate_sum(np.array([1.0]))
 
 
 class TestModelFiles:
