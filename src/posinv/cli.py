@@ -2,16 +2,16 @@
 
 Subcommands::
 
-    posinv integrate  --model M --scheme S --dt D --steps N [--alpha A] [--out F]
-    posinv stability  --model M --scheme S [--dt D] [--seed K]
+    posinv integrate  --model M --scheme S [--alpha A] --dt D --steps N [--out F]
+    posinv stability  --model M --scheme S [--alpha A] [--dt D]
     posinv reproduce  ID|all [--outdir DIR]
-    posinv order      --model M --scheme S --tmax T --dt0 D --levels L [--alpha A] [--out F]
+    posinv order      --model M --scheme S [--alpha A] --tmax T --dt0 D --levels L [--out F]
 
 Models are addressed as ``builtin:name?params``, a model-file path, or
 ``random:N`` (a seeded member of the conservative Metzler class; see
-``--seed``).  Exit codes: 0 ok, 1 a ``reproduce`` check failed, 2 usage or
-model error, 3 numerical failure.  Identical command lines produce
-byte-identical output files.
+``posinv --seed K``, given before the subcommand).  Exit codes: 0 ok, 1 a
+``reproduce`` check failed, 2 usage or model error, 3 numerical failure.
+Identical command lines produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -136,21 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for random:N model addresses")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", required=True)
+    common.add_argument("--scheme", required=True, choices=SCHEME_IDS)
+    common.add_argument("--alpha", type=float, default=None)
 
-    p_int = sub.add_parser("integrate", help="run one scheme and emit the trajectory as CSV")
-    p_int.add_argument("--model", required=True)
-    p_int.add_argument("--scheme", required=True, choices=SCHEME_IDS)
+    p_int = sub.add_parser("integrate", parents=[common],
+                           help="run one scheme and emit the trajectory as CSV")
     p_int.add_argument("--dt", type=_positive_float, required=True)
     p_int.add_argument("--steps", type=int, required=True)
-    p_int.add_argument("--alpha", type=float, default=None)
     p_int.add_argument("--out", default=None)
     p_int.set_defaults(func=cmd_integrate)
 
-    p_st = sub.add_parser("stability", help="critical step, certificate, fixed-point verdict")
-    p_st.add_argument("--model", required=True)
-    p_st.add_argument("--scheme", required=True, choices=SCHEME_IDS)
+    p_st = sub.add_parser("stability", parents=[common],
+                          help="critical step, certificate, fixed-point verdict")
     p_st.add_argument("--dt", type=_positive_float, default=None)
-    p_st.add_argument("--alpha", type=float, default=None)
     p_st.set_defaults(func=cmd_stability)
 
     p_rep = sub.add_parser("reproduce", help="run a reference experiment recipe, or all of them")
@@ -158,13 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--outdir", default=".")
     p_rep.set_defaults(func=cmd_reproduce)
 
-    p_ord = sub.add_parser("order", help="observed convergence orders against the exponential")
-    p_ord.add_argument("--model", required=True)
-    p_ord.add_argument("--scheme", required=True, choices=SCHEME_IDS)
+    p_ord = sub.add_parser("order", parents=[common],
+                           help="observed convergence orders against the exponential")
     p_ord.add_argument("--tmax", type=_positive_float, required=True)
     p_ord.add_argument("--dt0", type=_positive_float, required=True)
     p_ord.add_argument("--levels", type=int, required=True)
-    p_ord.add_argument("--alpha", type=float, default=None)
     p_ord.add_argument("--out", default=None)
     p_ord.set_defaults(func=cmd_order)
     return parser

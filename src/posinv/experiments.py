@@ -125,8 +125,10 @@ def reference_flow(model, start, dt: float, n_steps: int) -> np.ndarray:
     prop = expm(model.a, dt)
     deviations = np.empty((n_steps + 1, start.size))
     deviations[0] = start - y_inf
+    rows = list(deviations)
     for n in range(n_steps):
-        deviations[n + 1] = prop @ deviations[n]
+        # the gemv of prop @ row, written in place: no temporary and no copy per row
+        np.dot(prop, rows[n], out=rows[n + 1])
     flow = deviations + y_inf
     flow[0] = start
     return flow

@@ -421,14 +421,25 @@ def geco2_step(model, y: np.ndarray, dt: float, spec):
 
 
 def _add_reduce(values: list) -> float:
-    """``float(np.sum(values))``: below 8 terms numpy's add-reduce is Python's left-to-right sum."""
-    return sum(values, 0.0) if len(values) < 8 else float(np.sum(np.array(values)))
+    """``float(np.sum(values))``: below 8 terms numpy's add-reduce adds left to right.
+
+    That short sum is an explicit loop: from Python 3.12 on, ``sum`` of floats
+    is compensated and no longer gives numpy's bits.
+    """
+    if len(values) >= 8:
+        return float(np.sum(np.array(values)))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
-def _active_solve(y: np.ndarray, ys: list, slope: list, sigma, r: float, label: str) -> float:
-    """Solve the product-term equation over the active set {m : slope_m < 0}.
+def _stage(y: np.ndarray, ys: list, slope: list, sigma, r: float,
+           label: str) -> tuple[np.ndarray, float]:
+    """A product-term stage (y + tau*slope, tau), tau solved on the active set {m : slope_m < 0}.
 
     ``ys`` is ``y.tolist()``; a ``sigma`` that is ``y`` itself reuses it.
+    An empty active set gives tau = 1, the empty product.
     """
     if sigma is y:
         sigmas = ys
@@ -442,19 +453,18 @@ def _active_solve(y: np.ndarray, ys: list, slope: list, sigma, r: float, label: 
         if factor[1] < 0.0:
             factors.append(factor)
             admissible = admissible and 0.0 < factor[2] < math.inf and factor[0] > 0.0
-    if not factors:
-        return 1.0
     if not admissible:
         # the first check that fails names the fault, sigma before state
         if not all(0.0 < si < math.inf for _, _, si in factors):
             raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
         raise ModelError(f"{label}: state component in the active set is not positive")
-    if not r > 0.0:
+    if factors and not r > 0.0:
         raise ModelError(f"{label}: strategy exponent must be positive")
     if -math.inf in slope:
         # dt*f overflowed: every positive tau leaves that component at -inf
         raise NumericsError("scheme produced a non-finite state")
-    return _newton_tau(factors, r)
+    tau = _newton_tau(factors, r) if factors else 1.0
+    return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau
 
 
 def gbbks1_step(model, y: np.ndarray, dt: float, spec):
@@ -463,10 +473,9 @@ def gbbks1_step(model, y: np.ndarray, dt: float, spec):
     Unchecked; :func:`step` is the checked form.
     """
     strategy = spec.strategy
-    ys = y.tolist()
     slope = [dt * fi for fi in model.rhs(y).tolist()]
-    tau = _active_solve(y, ys, slope, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
-    return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau, {}
+    nxt, tau = _stage(y, y.tolist(), slope, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
+    return nxt, tau, {}
 
 
 def gbbks2_step(model, y: np.ndarray, dt: float, spec):
@@ -478,13 +487,12 @@ def gbbks2_step(model, y: np.ndarray, dt: float, spec):
     ys, f1 = y.tolist(), model.rhs(y).tolist()
     h = alpha * dt
     inner = [h * fi for fi in f1]
-    tau_inner = _active_solve(y, ys, inner, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner")
-    y2 = np.array([yi + si * tau_inner for yi, si in zip(ys, inner)])
+    y2, tau_inner = _stage(y, ys, inner, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner")
     f2 = model.rhs(y2).tolist()
     w1, w2 = 1.0 - 1.0 / (2.0 * alpha), 1.0 / (2.0 * alpha)
     slope = [dt * (w1 * a + w2 * b) for a, b in zip(f1, f2)]
-    tau = _active_solve(y, ys, slope, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
-    return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau, {"tau_inner": tau_inner}
+    nxt, tau = _stage(y, ys, slope, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
+    return nxt, tau, {"tau_inner": tau_inner}
 
 
 SCHEMES = {

@@ -38,7 +38,9 @@ class LinearPds:
 
     @classmethod
     def from_matrix(cls, a) -> "LinearPds":
-        a = np.asarray(a, dtype=float)
+        # a copy, so a later write by the caller cannot reach the frozen model
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
         rows, basis, lams = linalg.validate_system(a)
         return cls(
             a=a,

@@ -17,7 +17,8 @@ import pytest
 
 from posinv import experiments, integrate, make_scheme, stability
 from posinv.errors import NumericsError
-from posinv.pds import resolve_builtin
+from posinv.linalg import expm
+from posinv.pds import resolve_builtin, steady_state_for
 
 
 def flow_at_40_digits(a, y0, dt, n):
@@ -57,6 +58,20 @@ def test_reference_rows_match_40_digit_flow(address, dt, n, bound):
         dt = geco2_near_critical_dt()
     flow = experiments.reference_flow(model, doc.y0, dt, n)
     check_rows(model, doc.y0, dt, n, flow, bound)
+
+
+@pytest.mark.parametrize("address", ["paper-5x5", "paper-stiff?K=1e+06"])
+def test_rows_follow_the_propagator_recurrence_bitwise(address):
+    """Row n + 1 is y_inf + P @ (deviation n), bit for bit: the in-place gemv is ``prop @ row``."""
+    doc = resolve_builtin(f"builtin:{address}")
+    model = doc.build()
+    y_inf = steady_state_for(model, doc.y0)
+    prop = expm(model.a, 0.1)
+    flow = experiments.reference_flow(model, doc.y0, 0.1, 300)
+    deviation = doc.y0 - y_inf
+    for n in range(300):
+        deviation = prop @ deviation
+        assert flow[n + 1].tobytes() == (deviation + y_inf).tobytes(), n
 
 
 def test_plain_propagator_when_no_steady_state(monkeypatch):

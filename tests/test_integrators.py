@@ -13,6 +13,7 @@ For the unit-parameter 2x2 model with y = (2, 1), dt = 1:
     Euler                 (1, 2); Heun: identity (A + A^2/2 = 0 at dt = 1)
 """
 
+import builtins
 import dataclasses
 import importlib.util
 import itertools
@@ -849,14 +850,17 @@ class TestSingleSteps:
         y = np.array(y)
         sigma = y if sigma == "y" else np.array(sigma)
         with pytest.raises(error) as info:
-            integrators._active_solve(y, y.tolist(), slope, sigma, r, "x")
+            integrators._stage(y, y.tolist(), slope, sigma, r, "x")
         assert str(info.value) == message
 
     def test_faults_off_the_active_set_are_ignored(self):
         """A zero state and a nan or inf sigma where the slope is not negative do not fail the solve."""
         y = np.array([0.0, 2.0, 1.0])
-        tau = integrators._active_solve(y, y.tolist(), [0.5, -1.0, 0.0], [math.nan, 2.0, math.inf], 1.0, "x")
+        tau = integrators._stage(y, y.tolist(), [0.5, -1.0, 0.0], [math.nan, 2.0, math.inf], 1.0, "x")[1]
         assert tau == solve_tau([2.0], [-1.0], [2.0], 1.0)
+        # with no active set the exponent is not consulted either: tau is the empty product
+        nxt, tau = integrators._stage(y, y.tolist(), [0.5, 0.0, 1.0], [math.nan, 2.0, math.inf], 0.0, "x")
+        assert tau == 1.0 and nxt.tolist() == [0.5, 2.0, 2.0]
 
 
 def numpy_active_solve(y, slope, sigma, r):
@@ -1014,6 +1018,29 @@ def test_ratio_sum_has_the_bits_of_numpy_sum():
     """geco2's ratio sum is numpy's add-reduce: left to right below 8 terms, numpy's own from 8 on."""
     rng = np.random.default_rng(22)
     for n in range(21):
+        for _ in range(500):
+            ratios = (10.0 ** rng.uniform(-20.0, 20.0, n)).tolist()
+            want = float(np.sum(np.array(ratios)))
+            assert integrators._add_reduce(ratios).hex() == want.hex(), ratios
+
+
+def compensated_sum(values, start=0.0):
+    """Neumaier's compensated sum, the algorithm of ``sum`` over floats from Python 3.12 on."""
+    total, carry = float(start), 0.0
+    for value in values:
+        nxt = total + value
+        carry += (total - nxt) + value if abs(total) >= abs(value) else (value - nxt) + total
+        total = nxt
+    return total + carry
+
+
+def test_ratio_sum_does_not_depend_on_the_builtin_sum(monkeypatch):
+    """With ``sum`` compensated, as on Python 3.12+, the short sums keep numpy's left-to-right bits."""
+    assert compensated_sum([1.0, 1e-16, 1e-16]) != 1.0
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert integrators._add_reduce([1.0, 1e-16, 1e-16]) == float(np.sum([1.0, 1e-16, 1e-16])) == 1.0
+    rng = np.random.default_rng(23)
+    for n in range(1, 8):
         for _ in range(500):
             ratios = (10.0 ** rng.uniform(-20.0, 20.0, n)).tolist()
             want = float(np.sum(np.array(ratios)))

@@ -36,6 +36,15 @@ class TestLinearPds:
         with pytest.raises(ModelError):
             pds.LinearPds.from_matrix(np.array([[0.0, -1.0], [0.0, -1.0]]))
 
+    def test_holds_a_frozen_copy_of_the_matrix(self):
+        """A later write to the caller's array does not reach the model, and the model's is read-only."""
+        a = np.array([[-1.0, 2.0], [1.0, -2.0]])
+        model = pds.LinearPds.from_matrix(a)
+        a[0, 0] = -5.0
+        assert model.a[0, 0] == -1.0 and model.trace_s_minus == 3.0
+        with pytest.raises(ValueError):
+            model.a[0, 0] = -5.0
+
 
 class TestSteadyState:
     def test_two_by_two(self):
