@@ -8,10 +8,12 @@ Subcommands::
     posinv order      --model M --scheme S [--alpha A] --tmax T --dt0 D --levels L [--out F]
 
 Models are addressed as ``builtin:name?params``, a model-file path, or
-``random:N`` (a seeded member of the conservative Metzler class; see
-``posinv --seed K``, given before the subcommand).  Exit codes: 0 ok, 1 a
-``reproduce`` check failed, 2 usage or model error, 3 numerical failure.
-Identical command lines produce byte-identical output files.
+``random:N`` (a seeded member of the conservative Metzler class; ``--seed K``
+goes before the subcommand or after ``integrate``, ``stability`` or
+``order``, and the one after it wins).  Exit codes: 0 ok, 1 a ``reproduce``
+check failed, 2 usage or model error or an ``--out``/``--outdir`` path that
+cannot be written, 3 numerical failure.  Identical command lines produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -134,9 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="posinv",
         description="Positivity- and invariant-preserving integrators with a stability toolkit.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for random:N model addresses")
+    seed_help = "seed for random:N model addresses"
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS: a subcommand without --seed keeps the value given before it
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=seed_help)
     common.add_argument("--model", required=True)
     common.add_argument("--scheme", required=True, choices=SCHEME_IDS)
     common.add_argument("--alpha", type=float, default=None)
@@ -178,6 +183,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ModelError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:
+            raise  # names no path, so it is no --out or --outdir that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, PosinvError) as exc:

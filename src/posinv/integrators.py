@@ -14,7 +14,6 @@ can run concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -185,7 +184,11 @@ def _last_positive_tau(c: float, d: float) -> float:
 def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
     """(G(tau), G'(tau)) in the arithmetic of ``factors``, or None at a nonpositive factor.
 
-    A power ``prod**r`` beyond the float range is +inf: G is then positive,
+    A product that ends outside [2^-1022, +inf) may have under- or
+    overflowed on the way (a ratio c_m/sigma_m can be 0.0 although the full
+    product is a float): it is formed again with its binary exponent kept
+    apart and rounded into a float once, +inf beyond the float range.  A
+    power ``prod**r`` beyond the float range is +inf: G is then positive,
     and the root lies above tau.
     """
     prod = 1.0
@@ -196,6 +199,16 @@ def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
             return None
         prod *= num / si
         slope_sum += di / num
+    if not _MIN_NORMAL <= prod < math.inf:
+        prod, exp = 1.0, 0
+        for ci, di, si in factors:
+            (m_num, e_num), (m_si, e_si) = math.frexp(ci + di * tau), math.frexp(si)
+            prod, e = math.frexp(prod * (m_num / m_si))
+            exp += e + e_num - e_si
+        try:
+            prod = math.ldexp(prod, exp)
+        except OverflowError:
+            prod = math.inf
     try:
         p = prod**r
     except OverflowError:
@@ -553,43 +566,43 @@ class Trajectory:
         return len(self.states)
 
 
-def _trajectory(model, dt: float, states: list[np.ndarray]) -> Trajectory:
-    """Stack ``states`` with their invariant defects and minima, computed in one pass."""
-    arr = np.array(states)
+def _trajectory(model, dt: float, states: np.ndarray) -> Trajectory:
+    """Wrap ``states`` with their invariant defects and minima, computed in one pass."""
     rows = model.invariant_rows
     if rows is None or len(rows) == 0:
-        defects = np.zeros(len(arr))
+        defects = np.zeros(len(states))
     else:
         rows = np.asarray(rows, dtype=float)
         # the stacked product gives each state the bits of ``rows @ state``
-        invariants = (rows[None] @ arr[:, :, None])[:, :, 0]
+        invariants = (rows[None] @ states[:, :, None])[:, :, 0]
         ref = invariants[0]
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         defects = np.max(np.abs(invariants - ref), axis=1) / scale
-    return Trajectory(dt, arr, defects, np.min(arr, axis=1))
+    return Trajectory(dt, states, defects, np.min(states, axis=1))
 
 
 def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Trajectory:
     """Run ``n_steps`` applications of the scheme's step kernel.
 
-    ``y0`` and ``dt`` are checked once, and each result as it is produced.
-    When a checked result has the same bytes as the state it came from, the
-    remaining steps are filled with that state and the kernel is not called
-    again; when it has the bytes of the state two steps back, the remaining
-    steps alternate the last two states.  This relies on the step map being
-    a deterministic function of the state: the kernels are, and so must be
-    the callables of a :class:`~posinv.pds.GeneralPds` and of a
-    :class:`GbbksStrategy`.  The comparisons are bitwise, so a step that only
-    flips the sign of a zero is no fixed point.
-    Invariant defects and minima are computed once, after the last step.
-    A failing step raises :class:`IntegrationError` carrying the trajectory
-    up to the failure and the underlying cause.
+    ``y0`` and ``dt`` are checked once, and each result as it is produced
+    and written into its row of one (n_steps + 1, N) array.  When a checked
+    result has the same bytes as the state it came from, the remaining rows
+    are filled with that state and the kernel is not called again; when it
+    has the bytes of the state two steps back, the remaining rows alternate
+    the last two states.  This relies on the step map being a deterministic
+    function of the state: the kernels are, and so must be the callables of
+    a :class:`~posinv.pds.GeneralPds` and of a :class:`GbbksStrategy`.  The
+    comparisons are bitwise, so a step that only flips the sign of a zero is
+    no fixed point.  Invariant defects and minima are computed once, after
+    the last step.  A failing step raises :class:`IntegrationError` carrying
+    the rows filled so far and the underlying cause.
     """
-    y0 = np.asarray(y0, dtype=float)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     kernel = SCHEMES[scheme.id].kernel
-    states = [y0]
+    states = np.empty((n_steps + 1, *np.shape(y0)))
+    states[0] = y0
+    done = 1  # a failed check of y0 or dt is reported as step 1
     # a non-finite state is rejected after each step and a non-finite sigma
     # on the active set fails the solve, so overflow, invalid and
     # divide-by-zero warnings carry no extra information here; the exception
@@ -601,22 +614,22 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
             for done in range(1, n_steps + 1):
                 y = kernel(model, y, dt, scheme)[0]
                 _check_result(y)
-                states.append(y)
+                states[done] = y
                 current = y.tobytes()
                 if current == last:
                     # a bitwise fixed point of a pure map: every later state is these bits
-                    states.extend([y] * (n_steps - done))
+                    states[done + 1:] = y
                     break
                 if current == before:
                     # a bitwise 2-cycle of a pure map: the last two states alternate
-                    cycle = itertools.cycle((states[-2], y))
-                    states.extend(itertools.islice(cycle, n_steps - done))
+                    states[done + 1::2] = states[done - 1]
+                    states[done + 2::2] = y
                     break
                 last, before = current, last
         except (PosinvError, ValueError) as exc:
             raise IntegrationError(
-                f"step {len(states)} of {scheme.id} failed: {exc}",
-                trajectory=_trajectory(model, dt, states),
+                f"step {done} of {scheme.id} failed: {exc}",
+                trajectory=_trajectory(model, dt, states[:done].copy()),
                 cause=exc,
             ) from exc
         return _trajectory(model, dt, states)

@@ -106,6 +106,16 @@ class TestIntegrate:
         assert code == 2
         assert "cannot read model file" in err
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        """A missing directory in ``--out`` is a usage error: one ``error:`` line, no traceback."""
+        code, out, err = run(capsys, "integrate", "--model", "builtin:paper-2x2", "--scheme",
+                             "euler", "--dt", "0.1", "--steps", "3",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing" in err
+
     def test_unknown_scheme_exits_2(self, capsys):
         code, _, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
                          "--scheme", "rk4", "--dt", "1", "--steps", "1")
@@ -164,6 +174,15 @@ class TestStability:
         assert "critical dt: unconditional" in out
         assert "holds=True" in out
 
+    def test_seed_after_the_subcommand(self, capsys):
+        """``--seed`` after the subcommand selects the model that it selects before it."""
+        args = ["stability", "--model", "random:4", "--scheme", "euler"]
+        code, after, _ = run(capsys, *args, "--seed", "7")
+        assert code == 0
+        assert after == run(capsys, "--seed", "7", *args)[1]
+        assert after != run(capsys, *args)[1]
+        assert run(capsys, "--seed", "0", *args, "--seed", "7")[1] == after
+
     def test_bad_random_address(self, capsys):
         code, _, _ = run(capsys, "stability", "--model", "random:x", "--scheme", "geco1")
         assert code == 2
@@ -220,6 +239,16 @@ class TestReproduce:
         summary = json.loads((tmp_path / "fig4a_summary.json").read_text())
         assert summary["passed"]
         assert summary["dt"] == pytest.approx(0.29708629 * (1 - 1e-3), rel=1e-6)
+
+    def test_outdir_that_is_a_file_exits_2(self, capsys, tmp_path):
+        """An ``--outdir`` that names an existing file is a usage error, not a failed check."""
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, out, err = run(capsys, "reproduce", "fig2", "--outdir", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "taken" in err
 
     def test_unknown_experiment_exits_2(self, capsys):
         code, _, _ = run(capsys, "reproduce", "fig9")

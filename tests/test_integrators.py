@@ -613,6 +613,52 @@ class TestSolveTau:
                 raised += 1
         assert 500 < raised < 1500
 
+    def test_ratio_that_underflows_leaves_a_float_product(self):
+        """The first ratio c/sigma, 2e-322/3e11, is 0.0 in floating point; the product is not.
+
+        G's product is formed again with its binary exponent kept apart, so
+        the solve lands within 2 * 2^-1074 of the 50-digit root 3.94e-323
+        instead of returning 2^-1074.
+        """
+        factors = [
+            (2e-322, -1.7121830767181133e-05, 296441667804.6568),
+            (2.0388491752936387e-163, -30814236625.93649, 5.596019488763376e-268),
+            (2.3222327925699448e-307, -5889529017611451.0, 6.502549998765734e-307),
+        ]
+        c, d, s = zip(*factors)
+        root = oracle.product_term_root(c, d, s, 1.0)
+        assert abs(solve_tau(c, d, s, 1.0) - root) <= 2 * math.ulp(0.0)
+
+    def test_subnormal_draws_whose_running_product_underflowed(self):
+        """The draws of ``subnormal_tau_inputs`` that once ended far from their roots.
+
+        Fifteen returned 2^-1074 and draw 864 stopped 2.5e-6 relative below
+        its root, none at a positivity boundary.  Each now lands near its
+        root, or at the boundary where the root lies above it (draw 864).
+        """
+        draws = list(subnormal_tau_inputs())
+        for index in (24, 531, 864, 1158, 1200, 1626, 1903, 2133, 2143, 2218, 2472, 2490,
+                      2501, 2843, 2945, 2990):
+            c, d, s = zip(*draws[index])
+            tau, root = solve_tau(c, d, s, 1.0), oracle.product_term_root(c, d, s, 1.0)
+            up = math.nextafter(tau, math.inf)
+            at_boundary = tau < root and not all(ci + di * up > 0.0 for ci, di in zip(c, d))
+            assert at_boundary or abs(tau - root) <= max(1e-9 * root, 2 * math.ulp(0.0)), index
+
+    @pytest.mark.parametrize(
+        "factors, product",
+        [
+            ([(1e300, -1.0, 1e-10), (1e-300, -1.0, 1.0)], 1e10),  # overflows on the way
+            ([(2.0**-1064, -1.0, 2.0**40), (2.0**50, -1.0, 1.0)], 2.0**-1054),  # a ratio of 0.0
+            ([(1e300, -1.0, 1e-10), (1e300, -1.0, 1.0)], math.inf),  # beyond the float range
+        ],
+        ids=["overflow-to-normal", "underflow-to-subnormal", "overflow"],
+    )
+    def test_product_out_of_range_is_formed_once(self, factors, product):
+        """A product that ends outside [2^-1022, +inf) is the float of the exact product."""
+        g = integrators._evaluate(factors, 1.0, 0.0)[0]
+        assert g == product or abs(g - product) <= 1e-15 * product + math.ulp(0.0)
+
     @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
     def test_subnormal_rate_beside_large_component(self, c):
         """A triple (c, -2^-1074, c) is rescaled only as far as nothing overflows.
@@ -1320,6 +1366,34 @@ def test_integrate_stops_calling_the_kernel_in_a_two_cycle(monkeypatch):
     assert traj.states[45::2].tobytes() == np.tile(traj.states[45], (478, 1)).tobytes()
 
 
+@pytest.mark.parametrize(
+    "model,name,y0,dt,n_steps",
+    [
+        (PAPER_5X5.build(), "gbbks2", PAPER_5X5.y0, 0.1, 112),  # the fixed point
+        (RANDOM_16, "euler", np.ones(16), RANDOM_16_DT, 45),  # the 2-cycle
+    ],
+    ids=["fixed-point", "two-cycle"],
+)
+def test_repeat_at_the_last_step_fills_nothing(monkeypatch, model, name, y0, dt, n_steps):
+    """The runs above, cut at the step that finds the repeat: every state comes from a call."""
+    longer = integrate(model, make_scheme(name), y0, dt, 2 * n_steps)
+    calls = count_kernel_calls(monkeypatch, name, integrators.SCHEMES[name].kernel)
+    traj = integrate(model, make_scheme(name), y0, dt, n_steps)
+    assert len(calls) == n_steps
+    assert traj.states.tobytes() == longer.states[: n_steps + 1].tobytes()
+
+
+def test_failure_keeps_exactly_the_rows_filled_so_far():
+    """Euler at dt = 1e305 fails at step 2: the error holds states 0 and 1, in an array of its own."""
+    doc = posinv.load_model("builtin:paper-2x2")
+    model, scheme = doc.build(), make_scheme("euler")
+    with pytest.raises(IntegrationError) as err:
+        integrate(model, scheme, doc.y0, 1e305, 1000)
+    states = err.value.trajectory.states
+    assert states.tobytes() == stepped_states(model, scheme, doc.y0, 1e305, 1).tobytes()
+    assert states.flags.owndata
+
+
 def test_gbbks2_settles_at_a_spurious_fixed_point_above_dt_star():
     """gbbks2 on ``paper-5x5`` at 1.2*dt* stops at a state that is not steady.
 
@@ -1342,7 +1416,7 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
 
     From the builtin y0 at dt = 1.5 every step completes, though components
     reach the subnormal range.  From (1, 2, 3, 4, 5) at 10*dt* a component
-    reaches 1e-323 at step 882, where c + d*2^-1074 is not positive: the
+    reaches 3e-323 at step 881, where c + d*2^-1074 is not positive: the
     run ends with the ``SolverError`` that names that factor; its bracket
     is not empty, although c/(-d) underflows there.
     """
@@ -1350,7 +1424,7 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
     traj = integrate(MODEL_5X5, scheme, PAPER_5X5.y0, 1.5, 3000)
     assert np.min(traj.min_component[1:]) > 0.0
     dt = 10.0 * stability.critical_step(MODEL_5X5, scheme).dt_star
-    with pytest.raises(IntegrationError, match=r"^step 882 .* at c = 1e-323, d = ") as info:
+    with pytest.raises(IntegrationError, match=r"^step 881 .* at c = 3e-323, d = ") as info:
         integrate(MODEL_5X5, scheme, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt, 3000)
     assert type(info.value.cause) is SolverError
     assert info.value.cause.bracket[1] > 0.0
