@@ -27,7 +27,6 @@ from .integrators import (
 )
 from .linalg import (
     eigenvalues,
-    expm_apply,
     nullspace,
     validate_system,
 )

@@ -14,18 +14,16 @@ class NumericsError(PosinvError):
 
 
 class SolverError(NumericsError):
-    """Scalar solver failed to reach tolerance; carries the best bracket found."""
+    """Scalar solver failed; ``bracket`` is an interval (lo, hi) that holds the root."""
 
-    def __init__(self, message, bracket=None, residual=None):
+    def __init__(self, message, bracket=None):
         super().__init__(message)
         self.bracket = bracket
-        self.residual = residual
 
 
 class IntegrationError(NumericsError):
-    """A step of a trajectory failed; carries the partial trajectory and cause."""
+    """A trajectory step failed; carries the partial trajectory, the step's error as ``__cause__``."""
 
-    def __init__(self, message, trajectory=None, cause=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.cause = cause

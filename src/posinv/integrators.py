@@ -184,22 +184,26 @@ def _last_positive_tau(c: float, d: float) -> float:
 def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
     """(G(tau), G'(tau)) in the arithmetic of ``factors``, or None at a nonpositive factor.
 
-    A product that ends outside [2^-1022, +inf) may have under- or
-    overflowed on the way (a ratio c_m/sigma_m can be 0.0 although the full
-    product is a float): it is formed again with its binary exponent kept
-    apart and rounded into a float once, +inf beyond the float range.  A
-    power ``prod**r`` beyond the float range is +inf: G is then positive,
-    and the root lies above tau.
+    A ratio c_m/sigma_m or running product below 2^-1022 has lost digits
+    (a ratio can be 0.0 although the full product is a float), and one that
+    ends at +inf may have overflowed on the way: the product is then formed
+    again with its binary exponent kept apart and rounded into a float once,
+    +inf beyond the float range.  A power ``prod**r`` beyond the float range
+    is +inf: G is then positive, and the root lies above tau.
     """
     prod = 1.0
     slope_sum = 0.0
+    dipped = False
     for ci, di, si in factors:
         num = ci + di * tau
         if num <= 0.0:
             return None
-        prod *= num / si
+        ratio = num / si
+        prod *= ratio
         slope_sum += di / num
-    if not _MIN_NORMAL <= prod < math.inf:
+        if ratio < _MIN_NORMAL or prod < _MIN_NORMAL:
+            dipped = True
+    if dipped or not prod < math.inf:
         prod, exp = 1.0, 0
         for ci, di, si in factors:
             (m_num, e_num), (m_si, e_si) = math.frexp(ci + di * tau), math.frexp(si)
@@ -267,7 +271,6 @@ def _newton_root(factors: list[tuple[float, float, float]], r: float) -> float:
         raise SolverError(
             "product-term solve did not reach tolerance in 200 iterations",
             bracket=(lo, hi),
-            residual=g,
         )
     tau += step
     point = _evaluate(factors, r, tau)
@@ -314,6 +317,7 @@ class GbbksStrategy:
     def bbks2(cls, alpha: float) -> "GbbksStrategy":
         """Classic second-order preset: pi = y, sigma_m = y_m^(1-1/a) * y2_m^(1/a), q = r = 1."""
         alpha = float(alpha)
+        _check_alpha(alpha)
         e1, e2 = 1.0 - 1.0 / alpha, 1.0 / alpha
         if e1 == 0.0:
             # alpha = 1: y^0 is 1.0 for every y (0, inf and nan too) and y2^1.0 is y2
@@ -356,7 +360,6 @@ def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
         return SchemeSpec("gbbks1", strategy=GbbksStrategy.bbks1())
     if name == "gbbks2":
         a = 1.0 if alpha is None else float(alpha)
-        _check_alpha(a)  # before bbks2 divides by it
         return SchemeSpec("gbbks2", alpha=a, strategy=GbbksStrategy.bbks2(a))
     if alpha is not None:
         raise ValueError(f"scheme {name!r} does not take alpha")
@@ -595,7 +598,7 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     comparisons are bitwise, so a step that only flips the sign of a zero is
     no fixed point.  Invariant defects and minima are computed once, after
     the last step.  A failing step raises :class:`IntegrationError` carrying
-    the rows filled so far and the underlying cause.
+    the rows filled so far, with the step's exception as its ``__cause__``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -630,6 +633,5 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
             raise IntegrationError(
                 f"step {done} of {scheme.id} failed: {exc}",
                 trajectory=_trajectory(model, dt, states[:done].copy()),
-                cause=exc,
             ) from exc
         return _trajectory(model, dt, states)

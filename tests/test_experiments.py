@@ -9,13 +9,14 @@ The bound is 1e-11*max|y0| (1e-9 on ``K=1e+06``, where the Pade core of
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from posinv import experiments, integrate, make_scheme, stability
+from posinv import experiments, integrate, linalg, make_scheme, stability
 from posinv.errors import NumericsError
 from posinv.linalg import expm
 from posinv.pds import resolve_builtin, steady_state_for
@@ -72,6 +73,24 @@ def test_rows_follow_the_propagator_recurrence_bitwise(address):
     for n in range(300):
         deviation = prop @ deviation
         assert flow[n + 1].tobytes() == (deviation + y_inf).tobytes(), n
+
+
+@pytest.mark.parametrize("address", ["paper-2x2?a=1&b=1&c=1", "paper-5x5"])
+def test_order_reference_has_the_bits_of_expm_apply(monkeypatch, address):
+    """``observed_orders`` compares each final state with the bits of ``linalg.expm_apply``."""
+    doc = resolve_builtin(f"builtin:{address}")
+    model = doc.build()
+    seen = []
+
+    class Final:
+        def __sub__(self, reference):
+            seen.append(reference)
+            return reference
+
+    monkeypatch.setattr(experiments, "integrate", lambda *args, **kwargs: SimpleNamespace(final=Final()))
+    experiments.observed_orders(model, make_scheme("gbbks2"), doc.y0, 1.0, [0.5, 0.25])
+    want = linalg.expm_apply(model.a, doc.y0, 1.0).tobytes()
+    assert [ref.tobytes() for ref in seen] == [want, want]
 
 
 def test_plain_propagator_when_no_steady_state(monkeypatch):

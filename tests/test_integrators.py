@@ -334,8 +334,8 @@ class TestSolveTau:
         )
         with pytest.raises(IntegrationError, match=r"at c = 5e-324, d = -1.0$") as info:
             integrate(model, make_scheme("gbbks1"), np.array([math.ulp(0.0), 1.0]), 2.0**51, 3)
-        assert type(info.value.cause) is SolverError
-        assert info.value.cause.bracket == (0.0, math.ulp(0.0))
+        assert type(info.value.__cause__) is SolverError
+        assert info.value.__cause__.bracket == (0.0, math.ulp(0.0))
         assert len(info.value.trajectory) == 1
 
     def test_residual_and_positivity_invariants(self):
@@ -659,6 +659,25 @@ class TestSolveTau:
         g = integrators._evaluate(factors, 1.0, 0.0)[0]
         assert g == product or abs(g - product) <= 1e-15 * product + math.ulp(0.0)
 
+    @pytest.mark.parametrize(
+        "c, d, s",
+        [
+            ([1e-300, 1e300], [-1e-300, -1.0], [1e20, 1.0]),
+            ([3e-160, 7e-161, 2e300], [-1e-170, -1e-170, -1.0], [1.0, 1.0, 1.0]),
+        ],
+        ids=["subnormal-ratio", "subnormal-partial-product"],
+    )
+    def test_product_that_dips_below_the_normal_range_keeps_its_digits(self, c, d, s):
+        """A product that passes below 2^-1022 on the way and ends inside the normal range.
+
+        The first ratio is 1e-320, or the ratios are normal and the running
+        product passes 2.1e-320.  Formed factor by factor the product lost
+        digits, and the solve landed 1.1e-5 and 1.05e-4 relative below the
+        50-digit roots 1e-20 and 4.2e-20.
+        """
+        root = oracle.product_term_root(c, d, s, 1.0)
+        assert abs(solve_tau(c, d, s, 1.0) - root) <= 2.0**-52 * root
+
     @pytest.mark.parametrize("c", [1.0, 1e300, sys.float_info.max])
     def test_subnormal_rate_beside_large_component(self, c):
         """A triple (c, -2^-1074, c) is rescaled only as far as nothing overflows.
@@ -790,8 +809,8 @@ class TestSingleSteps:
         assert traj.states.tolist() == [[1.0, 0.0, 0.0]] * 11
         with pytest.raises(IntegrationError, match=r"^step 1 of gbbks2 failed") as err:
             integrate(model, make_scheme("gbbks2"), y0, 1e-2, 10)
-        assert isinstance(err.value.cause, ModelError)
-        assert "state component in the active set is not positive" in str(err.value.cause)
+        assert isinstance(err.value.__cause__, ModelError)
+        assert "state component in the active set is not positive" in str(err.value.__cause__)
 
     def test_non_finite_rhs_fails_the_step(self):
         """A production term that overflows surfaces as the model's error, not as a state."""
@@ -802,8 +821,8 @@ class TestSingleSteps:
         )
         with pytest.raises(IntegrationError, match=r"^step 1 of euler failed") as err:
             integrate(model, make_scheme("euler"), Y21, 0.1, 3)
-        assert isinstance(err.value.cause, ModelError)
-        assert str(err.value.cause) == "right-hand side returned non-finite values"
+        assert isinstance(err.value.__cause__, ModelError)
+        assert str(err.value.__cause__) == "right-hand side returned non-finite values"
         assert err.value.trajectory.states.tolist() == [Y21.tolist()]
 
     @pytest.mark.parametrize("name", ["euler", "gbbks1"])
@@ -815,8 +834,8 @@ class TestSingleSteps:
         model = GeneralPds(dimension=2, **rates)
         with pytest.raises(IntegrationError, match=rf"^step 1 of {name} failed") as err:
             integrate(model, make_scheme(name), Y21, 0.1, 3)
-        assert type(err.value.cause) is ModelError
-        assert str(err.value.cause) == f"{callable_name} returned shape (1,)"
+        assert type(err.value.__cause__) is ModelError
+        assert str(err.value.__cause__) == f"{callable_name} returned shape (1,)"
         assert err.value.trajectory.states.tolist() == [Y21.tolist()]
 
     @pytest.mark.parametrize("name", ["gbbks1", "gbbks2"])
@@ -841,7 +860,7 @@ class TestSingleSteps:
         """On ``paper-2x2`` from (2, 1) at dt = 1e308, dt*f overflows in the second step."""
         with pytest.raises(IntegrationError, match="step 2 .*non-finite state") as info:
             integrate(UNIT_2X2, make_scheme(name), Y21, 1e308, 5)
-        assert type(info.value.cause) is NumericsError
+        assert type(info.value.__cause__) is NumericsError
         assert len(info.value.trajectory) == 2
 
     def test_gbbks_rejects_nonpositive_sigma(self):
@@ -871,8 +890,8 @@ class TestSingleSteps:
         scheme = SchemeSpec(name, alpha=1.0 if name == "gbbks2" else None, strategy=strategy)
         with pytest.raises(IntegrationError, match=rf"^step 1 of {name} failed") as err:
             integrate(UNIT_2X2, scheme, Y21, 1.0, 3)
-        assert type(err.value.cause) is ModelError
-        assert str(err.value.cause) == f"{label}: strategy returned sigma of shape {shape}"
+        assert type(err.value.__cause__) is ModelError
+        assert str(err.value.__cause__) == f"{label}: strategy returned sigma of shape {shape}"
         assert err.value.trajectory.states.tolist() == [Y21.tolist()]
 
     @pytest.mark.parametrize(
@@ -1136,6 +1155,11 @@ class TestSchemeSpec:
         assert make_scheme("gbbks2", alpha=0.5).alpha == 0.5
         assert make_scheme("gbbks2").alpha == 1.0
 
+    @pytest.mark.parametrize("alpha", [0.0, math.inf, math.nan, 0.3])
+    def test_bbks2_preset_checks_its_alpha(self, alpha):
+        with pytest.raises(ValueError, match=r"^gbbks2 requires a finite alpha >= 1/2$"):
+            GbbksStrategy.bbks2(alpha)
+
     def test_alpha_rejected_elsewhere(self):
         with pytest.raises(ValueError):
             make_scheme("geco1", alpha=1.0)
@@ -1195,7 +1219,7 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as err:
             integrate(UNIT_2X2, scheme, Y21, 1.0, 5)
         assert len(err.value.trajectory) == 1
-        assert isinstance(err.value.cause, ModelError)
+        assert isinstance(err.value.__cause__, ModelError)
 
     @pytest.mark.parametrize("name", SCHEME_IDS)
     def test_diagnostics_match_per_state_evaluation(self, name):
@@ -1210,7 +1234,7 @@ class TestIntegrate:
         doc = posinv.load_model("builtin:paper-2x2")
         with pytest.raises(IntegrationError, match=r"^step 2 of euler failed") as err:
             integrate(doc.build(), make_scheme("euler"), doc.y0, 1e305, 5)
-        assert isinstance(err.value.cause, NumericsError)
+        assert isinstance(err.value.__cause__, NumericsError)
         assert len(err.value.trajectory) == 2
 
     def test_mid_run_failure_keeps_diagnostics(self):
@@ -1228,7 +1252,7 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match=r"^step 29 of gbbks2 failed") as err:
             integrate(model, scheme, doc.y0, 1e3, 500)
         traj = err.value.trajectory
-        assert isinstance(err.value.cause, ModelError)
+        assert isinstance(err.value.__cause__, ModelError)
         assert len(traj.states) == len(traj.invariant_defect) == len(traj.min_component) == 29
         diagnostics = (traj.invariant_defect.tolist(), traj.min_component.tolist())
         assert diagnostics == per_state_diagnostics(model, traj)
@@ -1254,7 +1278,7 @@ class TestIntegrate:
         for (y0, dt), n_steps in itertools.product(bad, (0, 3)):
             with pytest.raises(IntegrationError, match="^step 1 of euler failed") as err:
                 integrate(UNIT_2X2, make_scheme("euler"), y0, dt, n_steps)
-            assert isinstance(err.value.cause, ValueError)
+            assert isinstance(err.value.__cause__, ValueError)
             assert len(err.value.trajectory) == 1
         with pytest.raises(ValueError):
             step(UNIT_2X2, make_scheme("euler"), Y21, 0.0)
@@ -1426,8 +1450,8 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
     dt = 10.0 * stability.critical_step(MODEL_5X5, scheme).dt_star
     with pytest.raises(IntegrationError, match=r"^step 881 .* at c = 3e-323, d = ") as info:
         integrate(MODEL_5X5, scheme, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt, 3000)
-    assert type(info.value.cause) is SolverError
-    assert info.value.cause.bracket[1] > 0.0
+    assert type(info.value.__cause__) is SolverError
+    assert info.value.__cause__.bracket[1] > 0.0
 
 
 @pytest.mark.parametrize("name", ["_evaluate", "_newton_root"])

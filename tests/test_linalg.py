@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+import posinv
 from posinv import linalg
 from posinv.errors import ModelError, NumericsError
 from posinv.pds import LinearPds
@@ -190,6 +191,10 @@ class TestExpmApply:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             linalg.expm_apply(np.eye(2), np.ones(2), -1.0)
+
+    def test_not_exported_by_the_package(self):
+        """The package reaches the exponential through ``linalg.expm`` alone."""
+        assert not hasattr(posinv, "expm_apply")
 
 
 class TestValidateSystem:
