@@ -382,6 +382,8 @@ def run_jacobians(outdir: str) -> tuple[list[str], list[Check]]:
 def observed_orders(model, scheme, y0, tmax: float, dts) -> list[tuple[float, float, float]]:
     """Rows of (dt, error at tmax, order vs previous row); order is nan first."""
     reference = expm(model.a, tmax) @ y0
+    if not np.all(np.isfinite(reference)):
+        raise NumericsError("matrix exponential overflowed")
     out = []
     prev_err = None
     for dt in dts:

@@ -315,6 +315,16 @@ class TestOrder:
                          "--levels", "2")
         assert code == 2
 
+    def test_overflowed_reference_exits_3(self, capsys, tmp_path):
+        """A finite y0 whose exact flow overflows stops ``order`` instead of printing inf rows."""
+        path = tmp_path / "model.txt"
+        path.write_text("kind linear\ndim 2\nmatrix\n-1 0\n1 0\ny0 1.7e308 1.7e308\n")
+        code, out, err = run(capsys, "order", "--model", str(path), "--scheme", "geco1",
+                             "--tmax", "1", "--dt0", "0.5", "--levels", "1")
+        assert code == 3
+        assert out == ""
+        assert "matrix exponential overflowed" in err
+
 
 INTEGRATE_2X2 = ["integrate", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--steps", "1"]
 STABILITY_5X5 = ["stability", "--model", "builtin:paper-5x5", "--scheme", "geco2"]
