@@ -41,6 +41,11 @@ def _one(x: float) -> float:
     return 1.0
 
 
+def _state(y: np.ndarray) -> np.ndarray:
+    """The default ``pi``: the state itself, so its stage reuses ``y.tolist()``."""
+    return y
+
+
 #: Below this argument the direct formula for ``phi`` loses digits; switch to
 #: the four-term series (next term is x^4/120 ~ 1e-22 relative at the cutoff).
 _PHI_SERIES_CUTOFF = 1e-5
@@ -68,7 +73,7 @@ def phi(x: float) -> float:
 def solve_tau(c, d, sigma, r: float) -> float:
     """Unique root of G(tau) = (prod_m (c_m + d_m*tau) / sigma_m)^r - tau.
 
-    Requires c_m > 0, d_m < 0, sigma_m > 0 and r > 0; the root lies in
+    Requires c_m > 0, d_m < 0, sigma_m > 0 and 0 < r < inf; the root lies in
     (0, tau_max) with tau_max = min_m c_m / (-d_m), where G(0) > 0 and
     G(tau_max) < 0.
 
@@ -110,8 +115,8 @@ def solve_tau(c, d, sigma, r: float) -> float:
         return 1.0
     if not (len(c) == len(d) == len(sigma)):
         raise ValueError("c, d, sigma must have matching shapes")
-    if min(c) <= 0.0 or max(d) >= 0.0 or min(sigma) <= 0.0 or not r > 0.0:
-        raise ValueError("need c > 0, d < 0, sigma > 0, r > 0")
+    if min(c) <= 0.0 or max(d) >= 0.0 or min(sigma) <= 0.0 or not 0.0 < r < math.inf:
+        raise ValueError("need c > 0, d < 0, sigma > 0, 0 < r < inf")
     if not all(map(math.isfinite, c + d + sigma)):
         raise ValueError("c, d, sigma must be finite")
     return _newton_tau(list(zip(c, d, sigma)), float(r))
@@ -290,28 +295,25 @@ class GbbksStrategy:
     """Free parameters of the product-term schemes, as functions of the state.
 
     ``sigma`` receives the current state and, for the two-stage scheme, the
-    inner stage; ``pi`` and ``q`` parametrize the inner stage only.  Outputs
-    must be strictly positive wherever the scheme consults them, and sigma
-    and pi must reproduce the state on steady states (sigma(v, v) = pi(v) = v
-    whenever A v = 0); the shipped presets satisfy both.  Each callable must
-    be a deterministic function of its arguments: :func:`integrate` stops
-    calling the step map once it returns its input bit for bit.
+    inner stage; ``pi`` and ``q`` parametrize the inner stage only.  ``r``,
+    ``pi`` and ``q`` default to the classic BBKS choices r = q = 1 and pi = y,
+    the state itself.  Outputs must be strictly positive wherever the scheme
+    consults them, and sigma and pi must reproduce the state on steady states
+    (sigma(v, v) = pi(v) = v whenever A v = 0); the shipped presets satisfy
+    both.  Each callable must be a deterministic function of its arguments:
+    :func:`integrate` stops calling the step map once it returns its input
+    bit for bit.
     """
 
     sigma: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
-    r: Callable[[np.ndarray], float]
-    pi: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], float]
+    r: Callable[[np.ndarray], float] = _one
+    pi: Callable[[np.ndarray], np.ndarray] = _state
+    q: Callable[[np.ndarray], float] = _one
 
     @classmethod
     def bbks1(cls) -> "GbbksStrategy":
         """Classic first-order preset: sigma_m = y_m, r = 1."""
-        return cls(
-            sigma=lambda y, y2=None: y,
-            r=lambda y: 1.0,
-            pi=lambda y: y,
-            q=lambda y: 1.0,
-        )
+        return cls(sigma=lambda y, y2=None: y)
 
     @classmethod
     def bbks2(cls, alpha: float) -> "GbbksStrategy":
@@ -324,12 +326,7 @@ class GbbksStrategy:
             sigma = lambda y, y2: y2
         else:
             sigma = lambda y, y2: np.power(y, e1) * np.power(y2, e2)
-        return cls(
-            sigma=sigma,
-            r=lambda y: 1.0,
-            pi=lambda y: y,
-            q=lambda y: 1.0,
-        )
+        return cls(sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -370,6 +367,13 @@ def _check_result(next_state: np.ndarray) -> None:
     # kernel outputs are 1-D; on a few floats this beats np.isfinite(...).all()
     if not all(map(math.isfinite, next_state.tolist())):
         raise NumericsError("scheme produced a non-finite state")
+
+
+def _check_shape(model, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (model.dimension,):
+        raise ValueError(f"state shape {y.shape} does not match model dimension {model.dimension}")
+    return y
 
 
 def _check_step(y, dt: float) -> np.ndarray:
@@ -474,8 +478,8 @@ def _stage(y: np.ndarray, ys: list, slope: list, sigma, r: float,
         if not all(0.0 < si < math.inf for _, _, si in factors):
             raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
         raise ModelError(f"{label}: state component in the active set is not positive")
-    if factors and not r > 0.0:
-        raise ModelError(f"{label}: strategy exponent must be positive")
+    if factors and not 0.0 < r < math.inf:
+        raise ModelError(f"{label}: strategy exponent must be positive and finite")
     if -math.inf in slope:
         # dt*f overflowed: every positive tau leaves that component at -inf
         raise NumericsError("scheme produced a non-finite state")
@@ -525,14 +529,17 @@ SCHEME_IDS = tuple(SCHEMES)
 def step(model, scheme: SchemeSpec, y, dt: float) -> tuple[np.ndarray, float, dict]:
     """One checked step: (next state, tau, aux).
 
-    Validates ``y`` and ``dt``, applies the scheme's kernel and checks only
-    that the state it returns is finite.  ``tau`` is the product-term factor
+    Validates ``y`` and ``dt``, applies the scheme's kernel under the
+    floating-point error state of :func:`integrate` and checks only that the
+    state it returns is finite.  ``tau`` is the product-term factor
     of the gbbks schemes (1 whenever the active set was empty or the scheme
     has no product term), positive by construction; ``aux`` holds the damping
     arguments and the degenerate flag of the geco schemes and gbbks2's inner
     factor ``tau_inner``.
     """
-    y_next, tau, aux = SCHEMES[scheme.id].kernel(model, _check_step(y, dt), dt, scheme)
+    y = _check_step(_check_shape(model, y), dt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y_next, tau, aux = SCHEMES[scheme.id].kernel(model, y, dt, scheme)
     _check_result(y_next)
     return y_next, tau, aux
 
@@ -598,10 +605,12 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     comparisons are bitwise, so a step that only flips the sign of a zero is
     no fixed point.  Invariant defects and minima are computed once, after
     the last step.  A failing step raises :class:`IntegrationError` carrying
-    the rows filled so far, with the step's exception as its ``__cause__``.
+    the rows filled so far, with the step's exception as its ``__cause__``;
+    a negative ``n_steps`` or a ``y0`` not of shape (N,) raises ValueError.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    y0 = _check_shape(model, y0)
     kernel = SCHEMES[scheme.id].kernel
     states = np.empty((n_steps + 1, *np.shape(y0)))
     states[0] = y0

@@ -176,11 +176,16 @@ def numerical_jacobian(step_fn: Callable, y_star) -> np.ndarray:
 
 
 def closed_form_jacobian(model: LinearPds, scheme, dt: float) -> np.ndarray:
-    """Steady-state Jacobian I + dt*d_1*A + dt^2/2*d_2*A^2 of the scheme's step map."""
+    """Steady-state Jacobian I + dt*d_1*A + dt^2/2*d_2*A^2 of the scheme's step map.
+
+    At a dt so large that a product overflows, entries are inf or nan without
+    a warning; :func:`classify_fixed_point` rejects them.
+    """
     a = model.a
     d = _damping(scheme, dt * model.trace_s_minus)
-    jac = np.eye(a.shape[0]) + dt * d[0] * a
-    return jac + 0.5 * dt * dt * d[1] * (a @ a) if len(d) > 1 else jac
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = np.eye(a.shape[0]) + dt * d[0] * a
+        return jac + 0.5 * dt * dt * d[1] * (a @ a) if len(d) > 1 else jac
 
 
 @dataclass(frozen=True)

@@ -326,6 +326,21 @@ class TestOrder:
         assert "matrix exponential overflowed" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--model", "builtin:paper-5x5", "--scheme", "geco2", "--dt", "1e308",
+      "--steps", "3"], "matrix exponential overflowed"),
+    (["order", "--model", "builtin:paper-2x2", "--scheme", "geco2", "--tmax", "1e308",
+      "--dt0", "1e308", "--levels", "1"], "matrix exponential overflowed"),
+    (["stability", "--model", "builtin:paper-5x5", "--scheme", "heun", "--dt", "1e300"],
+     "scheme produced a non-finite state"),
+], ids=["integrate-flow", "order-reference", "stability-heun-step"])
+def test_overflow_exits_3_with_one_line_and_no_warning(capsys, argv, message):
+    """Overflow that posinv reports is one stderr line; a numpy warning would fail the test."""
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"numerical failure: {message}\n"
+
+
 INTEGRATE_2X2 = ["integrate", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--steps", "1"]
 STABILITY_5X5 = ["stability", "--model", "builtin:paper-5x5", "--scheme", "geco2"]
 ORDER_2X2 = ["order", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--levels", "2"]

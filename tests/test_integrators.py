@@ -293,7 +293,8 @@ class TestSolveTau:
 
     def test_rejects_bad_preconditions(self):
         for c, d, s, r in [([0.0], [-1], [1], 1), ([1], [0.5], [1], 1),
-                           ([1], [-1], [0.0], 1), ([1], [-1], [1], 0.0)]:
+                           ([1], [-1], [0.0], 1), ([1], [-1], [1], 0.0),
+                           ([1], [-1], [1], math.inf)]:
             with pytest.raises(ValueError):
                 solve_tau(c, d, s, r)
 
@@ -902,13 +903,16 @@ class TestSingleSteps:
             ([0.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], 0.0, ModelError,
              "x: state component in the active set is not positive"),
             ([1.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], 0.0, ModelError,
-             "x: strategy exponent must be positive"),
+             "x: strategy exponent must be positive and finite"),
+            ([1.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], math.inf, ModelError,
+             "x: strategy exponent must be positive and finite"),
             ([1.0, 1.0, 1.0], [-1.0, -1.0, -math.inf], [1.0, 1.0, 1.0], 1.0, NumericsError,
              "scheme produced a non-finite state"),
             ([0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], "y", 1.0, ModelError,
              "x: strategy returned nonpositive sigma on the active set"),
         ],
-        ids=["sigma-first", "then-state", "then-exponent", "then-overflowed-slope", "sigma-is-y"],
+        ids=["sigma-first", "then-state", "then-exponent", "then-infinite-exponent",
+             "then-overflowed-slope", "sigma-is-y"],
     )
     def test_active_set_faults_are_reported_in_order(self, y, slope, sigma, r, error, message):
         """Sigma, then state, then exponent, then an overflowed slope: the first fault names the error."""
@@ -1143,6 +1147,30 @@ def test_overflowed_power_in_integrate_is_no_raw_overflow_error():
             assert traj.invariant_defect[-1] <= 1e-15
 
 
+@pytest.mark.parametrize("address, dt", [("builtin:paper-5x5", 0.1), ("builtin:paper-stiff?K=1000", 1.0)])
+@pytest.mark.parametrize("name, alpha", [("gbbks1", None), ("gbbks2", 1.0), ("gbbks2", 3.0)])
+def test_strategy_defaults_step_the_bits_of_explicit_classic_callables(address, dt, name, alpha):
+    """A strategy given only sigma runs 200 steps with the bits of r = q = 1 and pi = y given explicitly."""
+    doc = posinv.load_model(address)
+    model = doc.build()
+    sigma = make_scheme(name, alpha).strategy.sigma
+    explicit = GbbksStrategy(sigma=sigma, r=lambda y: 1.0, pi=lambda y: y, q=lambda y: 1.0)
+    runs = [
+        integrate(model, SchemeSpec(name, alpha=alpha, strategy=strategy), doc.y0, dt, 200)
+        for strategy in (GbbksStrategy(sigma=sigma), explicit)
+    ]
+    for field in ("states", "invariant_defect", "min_component"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+
+
+def test_default_pi_is_the_state_itself():
+    """``pi(y) is y``, so gbbks2's inner stage reuses ``y.tolist()`` as its sigma."""
+    y = np.array([1.0, 2.0])
+    assert GbbksStrategy.bbks1().pi(y) is y
+    assert GbbksStrategy.bbks2(3.0).pi(y) is y
+    assert GbbksStrategy.bbks1().r(y) == GbbksStrategy.bbks1().q(y) == 1.0
+
+
 class TestSchemeSpec:
     def test_alpha_constraint(self):
         with pytest.raises(ValueError):
@@ -1282,6 +1310,24 @@ class TestIntegrate:
             assert len(err.value.trajectory) == 1
         with pytest.raises(ValueError):
             step(UNIT_2X2, make_scheme("euler"), Y21, 0.0)
+
+    def test_start_of_the_wrong_length_is_a_value_error(self):
+        """A 4-vector start on a 5-component model fails before any row is stored."""
+        model = PAPER_5X5.build()
+        message = r"^state shape \(4,\) does not match model dimension 5$"
+        with pytest.raises(ValueError, match=message):
+            integrate(model, make_scheme("euler"), np.ones(4), 0.1, 2)
+        with pytest.raises(ValueError, match=message):
+            step(model, make_scheme("gbbks1"), np.ones(4), 0.1)
+
+    def test_infinite_strategy_exponent_fails_the_step(self):
+        """r = inf would make every stage return y, a fixed point that is not steady."""
+        strategy = dataclasses.replace(GbbksStrategy.bbks1(), r=lambda y: math.inf)
+        with pytest.raises(IntegrationError, match="^step 1 of gbbks1 failed") as err:
+            integrate(PAPER_5X5.build(), SchemeSpec("gbbks1", strategy=strategy),
+                      np.arange(1.0, 6.0), 0.1, 10)
+        assert type(err.value.__cause__) is ModelError
+        assert str(err.value.__cause__) == "gbbks1: strategy exponent must be positive and finite"
 
     def test_nonlinear_model_conserves_mass(self):
         model = nonlinear_model()

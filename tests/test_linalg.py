@@ -192,6 +192,13 @@ class TestExpmApply:
         with pytest.raises(ValueError):
             linalg.expm_apply(np.eye(2), np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("a, t", [(FIVE, 1e308), (two_by_two(1, 1, 1), 1.5 * 2.0**1022)],
+                             ids=["t*a-not-finite", "norm-beyond-scaling"])
+    def test_overflowed_scaling_is_a_numerics_error(self, a, t):
+        """t*a that overflows, or whose norm 2^s cannot scale, raises with no numpy warning."""
+        with pytest.raises(NumericsError, match="^matrix exponential overflowed$"):
+            linalg.expm(a, t)
+
     def test_not_exported_by_the_package(self):
         """The package reaches the exponential through ``linalg.expm`` alone."""
         assert not hasattr(posinv, "expm_apply")
