@@ -201,8 +201,8 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float) -> Stabili
     """Classify a positive steady state of the model as a fixed point.
 
     The Jacobian comes from the closed form and is cross-checked against a
-    finite-difference probe of the actual step map; a disagreement raises
-    :class:`NumericsError`.
+    finite-difference probe of the actual step map; a disagreement, or a
+    closed-form Jacobian that is not finite, raises :class:`NumericsError`.
     Eigenvalues within ``KERNEL_WINDOW`` of 1 are counted against the kernel
     dimension; a count mismatch or a non-kernel eigenvalue hugging the unit
     circle yields the verdict ``inconclusive`` rather than a guess.
@@ -223,6 +223,9 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float) -> Stabili
         raise NumericsError(
             f"closed-form and finite-difference Jacobians disagree by {gap:.3e}"
         )
+    # a non-finite gap compares False above, so an overflowed Jacobian gets here
+    if not np.all(np.isfinite(jac)):
+        raise NumericsError("closed-form Jacobian is not finite")
 
     vals = linalg.eigenvalues(jac)
     near_one = np.abs(vals - 1.0) <= KERNEL_WINDOW

@@ -333,7 +333,12 @@ class TestOrder:
       "--dt0", "1e308", "--levels", "1"], "matrix exponential overflowed"),
     (["stability", "--model", "builtin:paper-5x5", "--scheme", "heun", "--dt", "1e300"],
      "scheme produced a non-finite state"),
-], ids=["integrate-flow", "order-reference", "stability-heun-step"])
+    (["stability", "--model", "builtin:paper-5x5", "--scheme", "geco2", "--dt", "1e300"],
+     "closed-form Jacobian is not finite"),
+    (["stability", "--model", "builtin:paper-5x5", "--scheme", "gbbks2", "--dt", "1e300"],
+     "closed-form Jacobian is not finite"),
+], ids=["integrate-flow", "order-reference", "stability-heun-step", "stability-geco2-jacobian",
+        "stability-gbbks2-jacobian"])
 def test_overflow_exits_3_with_one_line_and_no_warning(capsys, argv, message):
     """Overflow that posinv reports is one stderr line; a numpy warning would fail the test."""
     code, _, err = run(capsys, *argv)
