@@ -41,13 +41,10 @@ PERTURBATION = np.array([-2.0, 1.0, 1.0, -1.0, 1.0])
 ORDER_SCHEMES = ("geco1", "geco2", "gbbks1", "gbbks2")
 ORDER_LEVELS = tuple(2.0 ** -k for k in range(3, 11))
 
-#: Rows per ``%`` template in :func:`write_rows`: formats as fast as 256-row
-#: blocks (within 7%) while each block's tuple and string stay ~10 KB.
+#: Rows per block of :func:`reference_flow` and :class:`TrajectoryRows` and per
+#: ``%`` template in :func:`write_rows`: forms and writes a 5x5 table within 4%
+#: as fast as 256-row blocks while each block's tuple and string stay ~10 KB.
 _ROW_BLOCK = 64
-#: Rows per block of :func:`reference_flow` and :class:`TrajectoryRows`: forms
-#: a 5x5 table within 4% as fast as 512-row blocks (64 rows take 1.6 times as
-#: long) in ~20 KB a block.
-_TABLE_BLOCK = 4 * _ROW_BLOCK
 
 
 def write_rows(handle, header: list[str], rows) -> None:
@@ -60,7 +57,7 @@ def write_rows(handle, header: list[str], rows) -> None:
     """
     handle.write(",".join(header) + "\n")
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        rows = (rows,)
+        rows = [rows[start : start + _ROW_BLOCK] for start in range(0, len(rows), _ROW_BLOCK)]
     elif not isinstance(rows, TrajectoryRows):
         for row in rows:
             if len(row) != len(header):
@@ -70,12 +67,10 @@ def write_rows(handle, header: list[str], rows) -> None:
     # one template per block of rows: the same %.17g cells, in a few
     # string operations, without building the whole table as one string
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    for table in rows:
-        if table.shape[1] != len(header):
+    for block in rows:
+        if block.shape[1] != len(header):
             raise ValueError("row width does not match header")
-        for start in range(0, len(table), _ROW_BLOCK):
-            block = table[start : start + _ROW_BLOCK]
-            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+        handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -126,7 +121,7 @@ def reference_flow(model, start, dt: float, n_steps: int) -> Iterator[np.ndarray
     determine a steady state, y_inf = 0 and P steps the state itself.  Row 0
     is ``start`` exactly.  P and y_inf are formed by this call, so a flow that
     cannot be formed raises here; the returned iterator then yields
-    (``_TABLE_BLOCK``, N) arrays, the last one shorter, each formed when asked for.
+    (``_ROW_BLOCK``, N) arrays, the last one shorter, each formed when asked for.
     """
     start = np.asarray(start, dtype=float)
     try:
@@ -138,9 +133,12 @@ def reference_flow(model, start, dt: float, n_steps: int) -> Iterator[np.ndarray
 
 def _flow_blocks(prop, start, y_inf, n_steps: int) -> Iterator[np.ndarray]:
     prev = start - y_inf
-    for first in range(0, n_steps + 1, _TABLE_BLOCK):
-        deviations = np.empty((min(_TABLE_BLOCK, n_steps + 1 - first), start.size))
-        for row in deviations[1:] if first == 0 else deviations:
+    for first in range(0, n_steps + 1, _ROW_BLOCK):
+        deviations = rows = np.empty((min(_ROW_BLOCK, n_steps + 1 - first), start.size))
+        if first == 0:  # row 0 is the start's own deviation
+            deviations[0] = prev
+            rows = deviations[1:]
+        for row in rows:
             # the gemv of prop @ prev, written in place: no temporary and no copy per row
             np.dot(prop, prev, out=row)
             prev = row
@@ -154,7 +152,7 @@ class TrajectoryRows:
     """CSV table: step, t, state, invariant defect, errors vs flow and steady state.
 
     One row per state; ``len`` is the row count.  Iterating forms the table a
-    block of ``_TABLE_BLOCK`` rows at a time, each with its rows of the
+    block of ``_ROW_BLOCK`` rows at a time, each with its rows of the
     :func:`reference_flow` started at ``start``, so a table takes the
     trajectory's own arrays plus one block.  The flow is stepped once, so the
     table can be iterated once.  With ``y_star`` the last column is the error

@@ -127,6 +127,15 @@ class TestIntegrate:
         assert code == 3
         assert "failed" in err
 
+    def test_overflowed_flow_writes_no_partial_table(self, capsys, tmp_path):
+        """The propagator is formed before the header, so neither stdout nor --out gets a line."""
+        argv = ["integrate", "--model", "builtin:paper-5x5", "--scheme", "geco2", "--dt", "1e308",
+                "--steps", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 3 and not (tmp_path / "x.csv").exists()
+
     def test_power_of_a_zero_component_prints_no_warning(self):
         """gbbks2 at alpha 0.5 forms y^-1 on paper-5x5's y0, which has a 0.0: stderr stays empty.
 

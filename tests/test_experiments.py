@@ -179,7 +179,7 @@ def no_steady_state(model, y0):
 
 
 @pytest.mark.parametrize("steady", [True, False], ids=["steady-state", "plain-propagator"])
-@pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 255, 256, 1000])
+@pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 1000])
 def test_streamed_table_has_the_bytes_of_the_whole_table(monkeypatch, capsys, tmp_path, steps, steady):
     """Around the block edges, file, stdout and ``err_steady`` carry the whole table's bits."""
     if not steady:
