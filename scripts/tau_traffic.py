@@ -34,6 +34,7 @@ The steps also run on their own:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import subprocess
@@ -59,32 +60,40 @@ def import_posinv(src: str):
     return integrators
 
 
+@contextlib.contextmanager
+def recorded(integrators):
+    """Within the block, record the (factors, r) of every ``integrators._newton_tau`` call in the list yielded.
+
+    Arguments after ``r`` (a bound run's lift cache) are passed through, not recorded.
+    """
+    calls, solve = [], integrators._newton_tau
+
+    def recording(factors, r, *rest):
+        calls.append((list(factors), r))
+        return solve(factors, r, *rest)
+
+    integrators._newton_tau = recording
+    try:
+        yield calls
+    finally:
+        integrators._newton_tau = solve
+
+
 def record(src: str, out: str) -> None:
     """Write the (factors, r) of every ``_newton_tau`` call of each pass to ``out``."""
     integrators = import_posinv(src)
     sys.path.insert(1, str(ROOT))
     from perfbench.workloads import WORKLOADS
 
-    calls = []
-    solve = integrators._newton_tau
-
-    def recording(factors, r):
-        calls.append((list(factors), r))
-        return solve(factors, r)
-
     traffic = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name, seed in PASSES:
             workload = WORKLOADS[name](seed, scratch)
-            calls.clear()
-            integrators._newton_tau = recording
-            try:
+            with recorded(integrators) as calls:
                 outcome = workload.run_pass()
-            finally:
-                integrators._newton_tau = solve
             if outcome.failed:
                 print(f"warning: {name} pass failed: {outcome.failures}", file=sys.stderr)
-            traffic[name] = list(calls)
+            traffic[name] = calls
     Path(out).write_text(json.dumps(traffic))
 
 

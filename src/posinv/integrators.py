@@ -8,14 +8,15 @@ scalar fixed-point equation for the factor multiplying the update.
 
 All four nonstandard schemes conserve every linear invariant of the model
 and keep iterates positive for any step size; the baselines conserve
-invariants only.  Step maps are pure functions, so independent integrations
-can run concurrently.
+invariants only.  Each run binds its own step map, a deterministic function
+of the state, so independent integrations can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,13 +28,14 @@ from .errors import IntegrationError, ModelError, NumericsError, PosinvError, So
 class Scheme:
     """One entry of :data:`SCHEMES`.
 
-    ``kernel`` maps (model, y, dt, spec) to (next state, tau, aux) and
-    checks neither.  ``damping`` holds the factors d_k(x), x = dt*trace(S-), of
-    the stability polynomial 1 + z*d_1 + z^2/2*d_2 (z = dt*lambda), which at
+    ``bind(model, dt, spec)`` reads once what a run keeps fixed and returns
+    its unchecked step map (y, y.tolist()) -> (next state, its list, tau,
+    aux).  ``damping`` holds the factors d_k(x), x = dt*trace(S-), of the
+    stability polynomial 1 + z*d_1 + z^2/2*d_2 (z = dt*lambda), which at
     dt*A is the steady-state Jacobian on a linear model.
     """
 
-    kernel: Callable[..., tuple[np.ndarray, float, dict]]
+    bind: Callable[..., Callable[[np.ndarray, list], tuple[np.ndarray, list, float, dict]]]
     damping: tuple[Callable[[float], float], ...]
 
 
@@ -126,7 +128,7 @@ def solve_tau(c, d, sigma, r: float) -> float:
 _MIN_NORMAL = 2.0**-1022
 
 
-def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
+def _newton_tau(factors: list[tuple[float, float, float]], r: float, slot: list | None = None) -> float:
     """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples.
 
     One pass scales each triple with a subnormal entry by 2^k, k > 0, and
@@ -136,17 +138,25 @@ def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
     Newton's root clamped to b.  The one exit of the solve: a positive tau
     is returned, one that is not becomes 2^-1074 if that keeps every float
     factor positive, and otherwise :class:`SolverError` names a factor.
+
+    ``slot`` = [triple, lifted triple, boundary], owned by one bound run, keeps
+    the last subnormal triple's lift, which consecutive stiff solves mostly share.
     """
+    slot = [None, None, None] if slot is None else slot
     scaled, boundary = factors, math.inf
-    for i, (ci, di, si) in enumerate(factors):
+    for i, triple in enumerate(factors):
+        ci, di, si = triple
         if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
-            k = 1021 - math.frexp(max(ci, -di, si))[1]
-            if k > 0:
+            if slot[0] != triple:  # exact: the entries are finite and nonzero
+                k = 1021 - math.frexp(max(ci, -di, si))[1]
+                slot[:] = (triple, (math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k)) if k > 0 else triple,
+                           _last_positive_tau(ci, di) if ci < _MIN_NORMAL else math.inf)
+            if slot[1] is not triple:
                 if scaled is factors:
                     scaled = factors.copy()
-                scaled[i] = (math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k))
-            if ci < _MIN_NORMAL:
-                boundary = min(boundary, _last_positive_tau(ci, di))
+                scaled[i] = slot[1]
+            if slot[2] < boundary:
+                boundary = slot[2]
     # a boundary of 0.0 is no positive tau to return
     if 0.0 < boundary < math.inf and _root_above(scaled, r, boundary):
         tau = boundary
@@ -218,6 +228,8 @@ def _evaluate(factors: list[tuple[float, float, float]], r: float, tau: float):
             prod = math.ldexp(prod, exp)
         except OverflowError:
             prod = math.inf
+    if r == 1.0:  # prod**1.0 is prod and p*1.0 is p
+        return prod - tau, prod * slope_sum - 1.0
     try:
         p = prod**r
     except OverflowError:
@@ -363,9 +375,8 @@ def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
     return SchemeSpec(name)
 
 
-def _check_result(next_state: np.ndarray) -> None:
-    # kernel outputs are 1-D; on a few floats this beats np.isfinite(...).all()
-    if not all(map(math.isfinite, next_state.tolist())):
+def _check_result(floats: list) -> None:
+    if not all(map(math.isfinite, floats)):
         raise NumericsError("scheme produced a non-finite state")
 
 
@@ -385,59 +396,70 @@ def _check_step(y, dt: float) -> np.ndarray:
     return y
 
 
-def euler_step(model, y: np.ndarray, dt: float, spec):
-    """Explicit Euler step y + dt*f(y); unchecked, :func:`step` is the checked form."""
-    return y + dt * model.rhs(y), 1.0, {}
+def _bind_euler(model, dt: float, spec):
+    """Explicit Euler step y + dt*f(y)."""
+    rhs = model.rhs
+
+    def advance(y, ys):
+        nxt = y + dt * rhs(y)
+        return nxt, nxt.tolist(), 1.0, {}
+    return advance
 
 
-def heun_step(model, y: np.ndarray, dt: float, spec):
-    """Heun's two-stage step; unchecked, :func:`step` is the checked form."""
-    f1 = model.rhs(y)
-    f2 = model.rhs(y + dt * f1)
-    return y + dt * (0.5 * f1 + 0.5 * f2), 1.0, {}
+def _bind_heun(model, dt: float, spec):
+    """Heun's two-stage step."""
+    rhs = model.rhs
+
+    def advance(y, ys):
+        f1 = rhs(y)
+        nxt = y + dt * (0.5 * f1 + 0.5 * rhs(y + dt * f1))
+        return nxt, nxt.tolist(), 1.0, {}
+    return advance
 
 
-def geco1_step(model, y: np.ndarray, dt: float, spec):
-    """First-order damped step y + dt*phi(dt*sum d_j)*f(y); unchecked.
+def _bind_geco1(model, dt: float, spec):
+    """First-order damped step y + dt*phi(dt*sum d_j)*f(y).
 
     For linear models the damping argument is trace(S-) exactly, so the step
     is (I + Phi(dt) A) y and remains well defined on the boundary of the
-    positive orthant.  :func:`step` is the checked form.
+    positive orthant.
     """
-    f, rate_sum = model.rhs_and_rate_sum(y)
-    arg = dt * rate_sum
-    factor = dt * phi(arg)
-    return y + factor * f, 1.0, {"arg": arg}
+    rhs_and_rate_sum = model.rhs_and_rate_sum
+
+    def advance(y, ys):
+        f, rate_sum = rhs_and_rate_sum(y)
+        arg = dt * rate_sum
+        nxt = y + (dt * phi(arg)) * f
+        return nxt, nxt.tolist(), 1.0, {"arg": arg}
+    return advance
 
 
-def geco2_step(model, y: np.ndarray, dt: float, spec):
-    """Second-order damped step built on a geco1 inner stage; unchecked.
+def _bind_geco2(model, dt: float, spec):
+    """Second-order damped step built on a geco1 inner stage.
 
     The outer damping argument is dt * sum_i max(w_i, 0)/y_i; vanishing
     numerators contribute nothing regardless of y_i, and a positive numerator
     over a zero component drives the argument to +inf, where the kernel's
     continuous limit 0 freezes the state for this step (flagged in
-    ``aux['degenerate']``).  :func:`step` is the checked form.
+    ``aux['degenerate']``).
     """
-    f1, rate_sum = model.rhs_and_rate_sum(y)
-    inner_arg = dt * rate_sum
-    inner_phi = phi(inner_arg)
-    ys, f1 = y.tolist(), f1.tolist()
-    h = dt * inner_phi
-    y2 = [yi + h * fi for yi, fi in zip(ys, f1)]
-    if not all(map(math.isfinite, y2)):
-        raise NumericsError("scheme produced a non-finite state")
-    f2 = model.rhs(np.array(y2)).tolist()
-    twice = 2.0 * inner_phi
-    w = [twice * a - a - b for a, b in zip(f1, f2)]
-    degenerate = 0.0 in ys and any(wi > 0.0 and yi == 0.0 for wi, yi in zip(w, ys))
-    if degenerate:
-        arg = math.inf
-    else:
-        arg = dt * _add_reduce([wi / yi for wi, yi in zip(w, ys) if wi > 0.0])
-    g = (0.5 * dt) * phi(arg)
-    nxt = np.array([yi + g * (a + b) for yi, a, b in zip(ys, f1, f2)])
-    return nxt, 1.0, {"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate}
+    rhs, rhs_and_rate_sum, half = model.rhs, model.rhs_and_rate_sum, 0.5 * dt
+
+    def advance(y, ys):
+        f1, rate_sum = rhs_and_rate_sum(y)
+        inner_arg, f1 = dt * rate_sum, f1.tolist()
+        inner_phi = phi(inner_arg)
+        h, twice = dt * inner_phi, 2.0 * inner_phi
+        y2 = [yi + h * fi for yi, fi in zip(ys, f1)]
+        _check_result(y2)
+        f2 = rhs(np.array(y2)).tolist()
+        w = [twice * a - a - b for a, b in zip(f1, f2)]
+        degenerate = 0.0 in ys and any(wi > 0.0 and yi == 0.0 for wi, yi in zip(w, ys))
+        arg = math.inf if degenerate else dt * _add_reduce([wi / yi for wi, yi in zip(w, ys) if wi > 0.0])
+        g = half * phi(arg)
+        nxt = [yi + g * (a + b) for yi, a, b in zip(ys, f1, f2)]
+        return np.array(nxt), nxt, 1.0, {"arg": arg, "inner_arg": inner_arg, "degenerate": degenerate}
+    return advance
 
 
 def _add_reduce(values: list) -> float:
@@ -454,84 +476,100 @@ def _add_reduce(values: list) -> float:
     return total
 
 
-def _stage(y: np.ndarray, ys: list, slope: list, sigma, r: float,
-           label: str) -> tuple[np.ndarray, float]:
-    """A product-term stage (y + tau*slope, tau), tau solved on the active set {m : slope_m < 0}.
+def _floats(v, ys: list, label: str) -> list:
+    """A strategy's sigma or pi as a float list, after checking it has the shape of the state."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (len(ys),):
+        raise ModelError(f"{label}: strategy returned sigma of shape {v.shape}")
+    return v.tolist()
 
-    ``ys`` is ``y.tolist()``; a ``sigma`` that is ``y`` itself reuses it.
-    An empty active set gives tau = 1, the empty product.
+
+def _stage(ys: list, slope: list, sigmas: list, r: float, label: str, slot: list | None = None):
+    """A product-term stage (y + tau*slope, its list, tau), tau solved on {m : slope_m < 0}.
+
+    ``ys`` and ``sigmas`` are float lists; ``slot`` is the run's lift cache of
+    :func:`_newton_tau`.  An empty active set gives tau = 1, the empty product.
     """
-    if sigma is y:
-        sigmas = ys
-    else:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (len(ys),):
-            raise ModelError(f"{label}: strategy returned sigma of shape {sigma.shape}")
-        sigmas = sigma.tolist()
-    factors, admissible = [], True
-    for factor in zip(ys, slope, sigmas):
-        if factor[1] < 0.0:
-            factors.append(factor)
-            admissible = admissible and 0.0 < factor[2] < math.inf and factor[0] > 0.0
-    if not admissible:
-        # the first check that fails names the fault, sigma before state
-        if not all(0.0 < si < math.inf for _, _, si in factors):
-            raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
-        raise ModelError(f"{label}: state component in the active set is not positive")
+    factors = [factor for factor in zip(ys, slope, sigmas) if factor[1] < 0.0]
+    for ci, _, si in factors:
+        if not (0.0 < si < math.inf and ci > 0.0):
+            # the first check that fails names the fault, sigma before state
+            if not all(0.0 < si < math.inf for _, _, si in factors):
+                raise ModelError(f"{label}: strategy returned nonpositive sigma on the active set")
+            raise ModelError(f"{label}: state component in the active set is not positive")
     if factors and not 0.0 < r < math.inf:
         raise ModelError(f"{label}: strategy exponent must be positive and finite")
     if -math.inf in slope:
         # dt*f overflowed: every positive tau leaves that component at -inf
         raise NumericsError("scheme produced a non-finite state")
-    tau = _newton_tau(factors, r) if factors else 1.0
-    return np.array([yi + si * tau for yi, si in zip(ys, slope)]), tau
+    tau = _newton_tau(factors, r, slot) if factors else 1.0
+    nxt = [yi + si * tau for yi, si in zip(ys, slope)]
+    return np.array(nxt), nxt, tau
 
 
-def gbbks1_step(model, y: np.ndarray, dt: float, spec):
-    """First-order product-term step; reduces to Euler when f(y) >= 0.
+def _bind_gbbks1(model, dt: float, spec):
+    """First-order product-term step; reduces to Euler when f(y) >= 0."""
+    rhs, sigma_of, r_of, slot = model.rhs, spec.strategy.sigma, spec.strategy.r, [None, None, None]
+    r_of = None if r_of is _one else r_of  # the default r = 1 is a constant, not a call
 
-    Unchecked; :func:`step` is the checked form.
-    """
-    strategy = spec.strategy
-    slope = [dt * fi for fi in model.rhs(y).tolist()]
-    nxt, tau = _stage(y, y.tolist(), slope, strategy.sigma(y, None), float(strategy.r(y)), "gbbks1")
-    return nxt, tau, {}
+    def advance(y, ys):
+        slope = [dt * fi for fi in rhs(y).tolist()]
+        sigma, r = sigma_of(y, None), 1.0 if r_of is None else float(r_of(y))
+        sigmas = ys if sigma is y else _floats(sigma, ys, "gbbks1")
+        nxt, ys_next, tau = _stage(ys, slope, sigmas, r, "gbbks1", slot)
+        return nxt, ys_next, tau, {}
+    return advance
 
 
-def gbbks2_step(model, y: np.ndarray, dt: float, spec):
-    """Two-stage product-term step; reduces to Heun when both active sets are empty.
+def _bind_gbbks2(model, dt: float, spec):
+    """Two-stage product-term step; reduces to Heun when both active sets are empty."""
+    alpha, strategy, rhs, slot = spec.alpha, spec.strategy, model.rhs, [None, None, None]
+    h, w1, w2, sigma_of = alpha * dt, 1.0 - 1.0 / (2.0 * alpha), 1.0 / (2.0 * alpha), strategy.sigma
+    # the defaults r = q = 1 and pi = y are constants, not calls
+    r_of, q_of, pi_of = (None if fn is default else fn for fn, default in
+                         ((strategy.r, _one), (strategy.q, _one), (strategy.pi, _state)))
 
-    Unchecked; :func:`step` is the checked form.
-    """
-    alpha, strategy = spec.alpha, spec.strategy
-    ys, f1 = y.tolist(), model.rhs(y).tolist()
-    h = alpha * dt
-    inner = [h * fi for fi in f1]
-    y2, tau_inner = _stage(y, ys, inner, strategy.pi(y), float(strategy.q(y)), "gbbks2 inner")
-    f2 = model.rhs(y2).tolist()
-    w1, w2 = 1.0 - 1.0 / (2.0 * alpha), 1.0 / (2.0 * alpha)
-    slope = [dt * (w1 * a + w2 * b) for a, b in zip(f1, f2)]
-    nxt, tau = _stage(y, ys, slope, strategy.sigma(y, y2), float(strategy.r(y)), "gbbks2")
-    return nxt, tau, {"tau_inner": tau_inner}
+    def advance(y, ys):
+        f1 = rhs(y).tolist()
+        pi, q = y if pi_of is None else pi_of(y), 1.0 if q_of is None else float(q_of(y))
+        pis = ys if pi is y else _floats(pi, ys, "gbbks2 inner")
+        y2, ys2, tau_inner = _stage(ys, [h * fi for fi in f1], pis, q, "gbbks2 inner", slot)
+        slope = [dt * (w1 * a + w2 * b) for a, b in zip(f1, rhs(y2).tolist())]
+        sigma, r = sigma_of(y, y2), 1.0 if r_of is None else float(r_of(y))
+        sigmas = ys2 if sigma is y2 else ys if sigma is y else _floats(sigma, ys, "gbbks2")
+        nxt, ys_next, tau = _stage(ys, slope, sigmas, r, "gbbks2", slot)
+        return nxt, ys_next, tau, {"tau_inner": tau_inner}
+    return advance
 
 
 SCHEMES = {
-    "euler": Scheme(euler_step, (_one,)),
-    "heun": Scheme(heun_step, (_one, _one)),
-    "geco1": Scheme(geco1_step, (lambda x: phi(x),)),
-    "geco2": Scheme(geco2_step, (_one, lambda x: phi(x))),
-    "gbbks1": Scheme(gbbks1_step, (_one,)),
-    "gbbks2": Scheme(gbbks2_step, (_one, _one)),
+    "euler": Scheme(_bind_euler, (_one,)),
+    "heun": Scheme(_bind_heun, (_one, _one)),
+    "geco1": Scheme(_bind_geco1, (lambda x: phi(x),)),
+    "geco2": Scheme(_bind_geco2, (_one, lambda x: phi(x))),
+    "gbbks1": Scheme(_bind_gbbks1, (_one,)),
+    "gbbks2": Scheme(_bind_gbbks2, (_one, _one)),
 }
 SCHEME_IDS = tuple(SCHEMES)
+
+
+def _once(bind, model, y: np.ndarray, dt: float, spec) -> tuple[np.ndarray, float, dict]:
+    """One unchecked step (next state, tau, aux) of a run bound for it; :func:`step` is the checked form."""
+    y_next, _, tau, aux = bind(model, dt, spec)(y, y.tolist())
+    return y_next, tau, aux
+
+
+#: The unchecked single steps (model, y, dt, spec) -> (next state, tau, aux).
+euler_step, heun_step, geco1_step, geco2_step, gbbks1_step, gbbks2_step = (
+    partial(_once, scheme.bind) for scheme in SCHEMES.values())
 
 
 def step(model, scheme: SchemeSpec, y, dt: float) -> tuple[np.ndarray, float, dict]:
     """One checked step: (next state, tau, aux).
 
-    Validates ``y`` and ``dt``, applies the scheme's kernel under the
-    floating-point error state of :func:`integrate` and checks only that the
-    state it returns is finite.  ``tau`` is the product-term factor
+    Validates ``y`` and ``dt``, applies the scheme's bound step map under
+    the floating-point error state of :func:`integrate` and checks only that
+    the state it returns is finite.  ``tau`` is the product-term factor
     of the gbbks schemes (1 whenever the active set was empty or the scheme
     has no product term), positive by construction; ``aux`` holds the damping
     arguments and the degenerate flag of the geco schemes and gbbks2's inner
@@ -539,8 +577,8 @@ def step(model, scheme: SchemeSpec, y, dt: float) -> tuple[np.ndarray, float, di
     """
     y = _check_step(_check_shape(model, y), dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y_next, tau, aux = SCHEMES[scheme.id].kernel(model, y, dt, scheme)
-    _check_result(y_next)
+        y_next, ys_next, tau, aux = SCHEMES[scheme.id].bind(model, dt, scheme)(y, y.tolist())
+    _check_result(ys_next)
     return y_next, tau, aux
 
 
@@ -592,15 +630,15 @@ def _trajectory(model, dt: float, states: np.ndarray) -> Trajectory:
 
 
 def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Trajectory:
-    """Run ``n_steps`` applications of the scheme's step kernel.
+    """Run ``n_steps`` applications of the scheme's step map, bound once for the run.
 
     ``y0`` and ``dt`` are checked once, and each result as it is produced
     and written into its row of one (n_steps + 1, N) array.  When a checked
     result has the same bytes as the state it came from, the remaining rows
-    are filled with that state and the kernel is not called again; when it
+    are filled with that state and the map is not called again; when it
     has the bytes of the state two steps back, the remaining rows alternate
     the last two states.  This relies on the step map being a deterministic
-    function of the state: the kernels are, and so must be the callables of
+    function of the state: the schemes' maps are, and so must be the callables of
     a :class:`~posinv.pds.GeneralPds` and of a :class:`GbbksStrategy`.  The
     comparisons are bitwise, so a step that only flips the sign of a zero is
     no fixed point.  Invariant defects and minima are computed once, after
@@ -611,7 +649,7 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     y0 = _check_shape(model, y0)
-    kernel = SCHEMES[scheme.id].kernel
+    advance = SCHEMES[scheme.id].bind(model, dt, scheme)
     states = np.empty((n_steps + 1, *np.shape(y0)))
     states[0] = y0
     done = 1  # a failed check of y0 or dt is reported as step 1
@@ -622,10 +660,10 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             y = _check_step(y0, dt)
-            last, before = y.tobytes(), None
+            ys, last, before = y.tolist(), y.tobytes(), None
             for done in range(1, n_steps + 1):
-                y = kernel(model, y, dt, scheme)[0]
-                _check_result(y)
+                y, ys, _, _ = advance(y, ys)
+                _check_result(ys)
                 states[done] = y
                 current = y.tobytes()
                 if current == last:

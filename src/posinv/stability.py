@@ -185,7 +185,7 @@ def closed_form_jacobian(model: LinearPds, scheme, dt: float) -> np.ndarray:
     d = _damping(scheme, dt * model.trace_s_minus)
     with np.errstate(over="ignore", invalid="ignore"):
         jac = np.eye(a.shape[0]) + dt * d[0] * a
-        return jac + 0.5 * dt * dt * d[1] * (a @ a) if len(d) > 1 else jac
+        return jac + (0.5 * dt) * (dt * d[1]) * (a @ a) if len(d) > 1 else jac
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ import builtins
 import dataclasses
 import importlib.util
 import itertools
+import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -469,6 +471,43 @@ class TestSolveTau:
                 compared += 1
         assert compared > 400 + 900
 
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_lift_cache_hit_and_miss_give_the_bits_of_a_cold_solve(self, r, monkeypatch):
+        """One slot across solves whose subnormal triple alternates between two keys.
+
+        A solve that meets the slot's key reuses its lift and boundary (a
+        hit); one that meets the other key computes them again, one
+        ``_last_positive_tau`` call, and replaces the slot (a miss).  Both
+        return the bits of ``_newton_tau(factors, r)`` without a slot.  Each
+        key sits beside a normal triple drawn afresh for every solve; the
+        keys differ in d alone, so a key that compared c only would fail.
+        """
+        tiny = math.ulp(0.0)
+        # the keys share c and sigma, as the stalled component of a stiff run does
+        keys = [(3 * tiny, -1e6 * tiny, 3 * tiny), (3 * tiny, -2e5 * tiny, 3 * tiny)]
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(300):
+            normal = (float(rng.uniform(0.5, 2.0)), -float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.5, 2.0)))
+            cases.append([keys[int(rng.integers(2))], normal])
+        cold = [integrators._newton_tau(factors, r) for factors in cases]
+        boundaries = []
+        last_positive_tau = integrators._last_positive_tau
+
+        def counted(c, d):
+            boundaries.append(c)
+            return last_positive_tau(c, d)
+
+        monkeypatch.setattr(integrators, "_last_positive_tau", counted)
+        slot = [None, None, None]
+        for factors, want in zip(cases, cold):
+            # equal keys that are not the same tuple, as a run's triples are
+            factors = [tuple(float(v) for v in factors[0]), factors[1]]
+            assert integrators._newton_tau(factors, r, slot).hex() == want.hex(), factors
+            assert slot[0] == factors[0]
+        misses = 1 + sum(a[0] != b[0] for a, b in zip(cases, cases[1:]))
+        assert len(boundaries) == misses and 100 < misses < 200
+
     def test_overflowed_power_is_a_positive_g(self):
         """(1e200 - tau)^2 overflows the float range up to tau ~ 1e200 - 1e154: G is +inf there.
 
@@ -919,16 +958,16 @@ class TestSingleSteps:
         y = np.array(y)
         sigma = y if sigma == "y" else np.array(sigma)
         with pytest.raises(error) as info:
-            integrators._stage(y, y.tolist(), slope, sigma, r, "x")
+            integrators._stage(y.tolist(), slope, sigma.tolist(), r, "x")
         assert str(info.value) == message
 
     def test_faults_off_the_active_set_are_ignored(self):
         """A zero state and a nan or inf sigma where the slope is not negative do not fail the solve."""
         y = np.array([0.0, 2.0, 1.0])
-        tau = integrators._stage(y, y.tolist(), [0.5, -1.0, 0.0], [math.nan, 2.0, math.inf], 1.0, "x")[1]
+        tau = integrators._stage(y.tolist(), [0.5, -1.0, 0.0], [math.nan, 2.0, math.inf], 1.0, "x")[2]
         assert tau == solve_tau([2.0], [-1.0], [2.0], 1.0)
         # with no active set the exponent is not consulted either: tau is the empty product
-        nxt, tau = integrators._stage(y, y.tolist(), [0.5, 0.0, 1.0], [math.nan, 2.0, math.inf], 0.0, "x")
+        nxt, _, tau = integrators._stage(y.tolist(), [0.5, 0.0, 1.0], [math.nan, 2.0, math.inf], 0.0, "x")
         assert tau == 1.0 and nxt.tolist() == [0.5, 2.0, 2.0]
 
 
@@ -1014,33 +1053,55 @@ def oracle_kernel_cases():
             yield stiff, y, 1e12
 
 
+def bound_kernel(name):
+    """Scheme ``name`` as (model, y, dt, spec) -> (next state, tau, aux), one bound run per (model, dt, spec).
+
+    A run is bound on its first call and stepped on every later call with
+    the same model, dt and spec, so its lift cache carries over between
+    states.  The float list ``advance`` returns must have the next state's bits.
+    """
+    runs = {}
+
+    def kernel(model, y, dt, spec):
+        key = (id(model), dt, id(spec))
+        if key not in runs:
+            runs[key] = integrators.SCHEMES[name].bind(model, dt, spec)
+        y_next, ys_next, tau, aux = runs[key](y, y.tolist())
+        assert np.array(ys_next).tobytes() == y_next.tobytes()
+        return y_next, tau, aux
+
+    return kernel
+
+
 def test_kernels_match_the_numpy_formulation_bitwise():
     """The list-based geco2, gbbks1 and gbbks2 kernels give the bits of whole-array numpy.
 
     Both sides run the same ``_newton_tau``; what is compared is the
     elementwise arithmetic around it, including numpy's blocked sum of
     geco2's ratios (from 8 entries on), a zero and a subnormal component,
-    the degenerate flag and three gbbks2 alphas.
+    the degenerate flag and three gbbks2 alphas.  Each kernel is reached
+    through its ``*_step`` function and through ``Scheme.bind``.
     """
     schemes = [
         ("geco2", make_scheme("geco2"), numpy_geco2),
         ("gbbks1", make_scheme("gbbks1"), numpy_gbbks1),
     ] + [("gbbks2", make_scheme("gbbks2", a), numpy_gbbks2) for a in (0.5, 1.0, 3.0)]
+    kernels = {name: (getattr(integrators, f"{name}_step"), bound_kernel(name)) for name, _, _ in schemes}
     compared = degenerate = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for model, y, dt in oracle_kernel_cases():
             for name, scheme, oracle_kernel in schemes:
-                kernel = integrators.SCHEMES[name].kernel
-                try:
-                    want = kernel_bits(oracle_kernel(model, y, dt, scheme))
-                except (ModelError, NumericsError) as exc:
-                    with pytest.raises(type(exc)):
-                        kernel(model, y, dt, scheme)
-                    continue
-                assert kernel_bits(kernel(model, y, dt, scheme)) == want, (name, y, dt)
-                compared += 1
-                degenerate += want[3].get("degenerate", False)
-    assert compared >= 300 and degenerate > 0
+                for kernel in kernels[name]:
+                    try:
+                        want = kernel_bits(oracle_kernel(model, y, dt, scheme))
+                    except (ModelError, NumericsError) as exc:
+                        with pytest.raises(type(exc)):
+                            kernel(model, y, dt, scheme)
+                        continue
+                    assert kernel_bits(kernel(model, y, dt, scheme)) == want, (name, y, dt)
+                    compared += 1
+                    degenerate += want[3].get("degenerate", False)
+    assert compared >= 2 * 300 and degenerate > 0
 
 
 def test_linear_rhs_has_the_bits_of_matmul():
@@ -1377,15 +1438,42 @@ def test_integrate_matches_checked_steps_bitwise(model, name, y0, dt):
     assert traj.states.tobytes() == stepped.tobytes()
 
 
-def count_kernel_calls(monkeypatch, name, kernel):
-    """Install ``kernel`` as scheme ``name``'s kernel; return the list of states it is called on."""
+@pytest.mark.parametrize("name", ["gbbks1", "gbbks2"])
+def test_bound_runs_stepped_in_turn_keep_their_own_bits(name):
+    """Two runs bound on ``paper-stiff``, K = 1e6 at dt 1 and K = 1e3 at dt 1e12, advanced in turn.
+
+    Each holds its own lift cache, and their subnormal triples differ, so
+    stepping them alternately gives each the states of its own ``integrate``.
+    """
+    cases = [(PAPER_STIFF, 1.0), (posinv.load_model("builtin:paper-stiff?K=1000"), 1e12)]
+    scheme, runs = make_scheme(name), []
+    for doc, dt in cases:
+        y = np.asarray(doc.y0, dtype=float)
+        runs.append([integrators.SCHEMES[name].bind(doc.build(), dt, scheme), y, y.tolist(), [y]])
+    for _ in range(300):
+        for run in runs:
+            run[1], run[2], _, _ = run[0](run[1], run[2])
+            run[3].append(run[1])
+    for (doc, dt), run in zip(cases, runs):
+        traj = integrate(doc.build(), scheme, doc.y0, dt, 300)
+        assert np.array(run[3]).tobytes() == traj.states.tobytes()
+        assert traj.min_component[-1] == math.ulp(0.0)  # the run meets subnormal triples
+
+
+def count_advance_calls(monkeypatch, name, bind):
+    """Install ``bind`` as scheme ``name``'s binder; return the list of states its step maps are called on."""
     calls = []
 
-    def counted(model, y, dt, spec):
-        calls.append(y)
-        return kernel(model, y, dt, spec)
+    def counted_bind(model, dt, spec):
+        advance = bind(model, dt, spec)
 
-    entry = dataclasses.replace(integrators.SCHEMES[name], kernel=counted)
+        def counted(y, ys):
+            calls.append(y)
+            return advance(y, ys)
+
+        return counted
+
+    entry = dataclasses.replace(integrators.SCHEMES[name], bind=counted_bind)
     monkeypatch.setitem(integrators.SCHEMES, name, entry)
     return calls
 
@@ -1395,7 +1483,7 @@ def test_integrate_stops_calling_the_kernel_at_a_fixed_point(monkeypatch):
 
     The 112th call returns its input, so the other 1888 states are copies.
     """
-    calls = count_kernel_calls(monkeypatch, "gbbks2", integrators.SCHEMES["gbbks2"].kernel)
+    calls = count_advance_calls(monkeypatch, "gbbks2", integrators.SCHEMES["gbbks2"].bind)
     traj = integrate(PAPER_5X5.build(), make_scheme("gbbks2"), PAPER_5X5.y0, 0.1, 2000)
     assert len(calls) == 112
     assert len(traj) == 2001
@@ -1410,10 +1498,13 @@ def test_signed_zero_flip_is_not_a_fixed_point(monkeypatch):
     bytes: the 2-cycle exit, not the fixed-point exit, fills the other four.
     """
 
-    def flip(model, y, dt, spec):
-        return np.array([y[0], -y[1]]), 1.0, {}
+    def flip(model, dt, spec):
+        def advance(y, ys):
+            return np.array([y[0], -y[1]]), [ys[0], -ys[1]], 1.0, {}
 
-    calls = count_kernel_calls(monkeypatch, "euler", flip)
+        return advance
+
+    calls = count_advance_calls(monkeypatch, "euler", flip)
     traj = integrate(UNIT_2X2, make_scheme("euler"), np.array([1.0, 0.0]), 0.1, 6)
     assert len(calls) == 2
     assert (traj.states == [[1.0, 0.0]] * 7).all()
@@ -1426,7 +1517,7 @@ def test_integrate_stops_calling_the_kernel_in_a_two_cycle(monkeypatch):
     The 45th call closes the floating-point 2-cycle, so the other 955
     states alternate states 44 and 45 without a kernel call.
     """
-    calls = count_kernel_calls(monkeypatch, "euler", integrators.SCHEMES["euler"].kernel)
+    calls = count_advance_calls(monkeypatch, "euler", integrators.SCHEMES["euler"].bind)
     traj = integrate(RANDOM_16, make_scheme("euler"), np.ones(16), RANDOM_16_DT, 1000)
     assert len(calls) == 45
     assert len(traj) == 1001
@@ -1447,7 +1538,7 @@ def test_integrate_stops_calling_the_kernel_in_a_two_cycle(monkeypatch):
 def test_repeat_at_the_last_step_fills_nothing(monkeypatch, model, name, y0, dt, n_steps):
     """The runs above, cut at the step that finds the repeat: every state comes from a call."""
     longer = integrate(model, make_scheme(name), y0, dt, 2 * n_steps)
-    calls = count_kernel_calls(monkeypatch, name, integrators.SCHEMES[name].kernel)
+    calls = count_advance_calls(monkeypatch, name, integrators.SCHEMES[name].bind)
     traj = integrate(model, make_scheme(name), y0, dt, n_steps)
     assert len(calls) == n_steps
     assert traj.states.tobytes() == longer.states[: n_steps + 1].tobytes()
@@ -1500,14 +1591,20 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
     assert info.value.__cause__.bracket[1] > 0.0
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("name", ["_evaluate", "_newton_root"])
 def test_tau_traffic_replay_needs_the_functions_it_counts(name, monkeypatch, tmp_path):
     """Without ``_evaluate`` or ``_newton_root`` the replay would count zero calls; it exits instead."""
-    spec = importlib.util.spec_from_file_location(
-        "tau_traffic", Path(__file__).resolve().parent.parent / "scripts" / "tau_traffic.py"
-    )
-    tau_traffic = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tau_traffic)
+    tau_traffic = load_script("tau_traffic")
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.delattr(integrators, name)
     traffic = tmp_path / "traffic.json"
@@ -1515,3 +1612,46 @@ def test_tau_traffic_replay_needs_the_functions_it_counts(name, monkeypatch, tmp
     src = str(Path(integrators.__file__).resolve().parent.parent)
     with pytest.raises(SystemExit, match=f"has no function {name};"):
         tau_traffic.replay(src, str(traffic), str(tmp_path / "result.json"))
+
+
+def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
+    """A short stiff gbbks2 run: one recorded solve per stage with a negative slope, in stage order.
+
+    The recorder passes the run's lift cache through, and each recorded
+    (factors, r), solved again without it, gives the tau of its stage.
+    """
+    tau_traffic = load_script("tau_traffic")
+    active_taus, stages = [], []
+    stage = integrators._stage
+
+    def counted(ys, slope, *rest):
+        out = stage(ys, slope, *rest)
+        stages.append(1)
+        if any(s < 0.0 for s in slope):
+            active_taus.append(out[2])
+        return out
+
+    monkeypatch.setattr(integrators, "_stage", counted)
+    with tau_traffic.recorded(integrators) as calls:
+        integrate(PAPER_STIFF.build(), make_scheme("gbbks2"), PAPER_STIFF.y0, 1.0, 30)
+    assert integrators._newton_tau.__name__ == "_newton_tau"  # the recorder is gone
+    assert len(stages) == 60 and len(calls) == len(active_taus) > 30
+    assert [integrators._newton_tau([tuple(t) for t in f], r) for f, r in calls] == active_taus
+
+
+def test_ab_timing_on_one_tree_reads_no_difference(tmp_path):
+    """An A/A run of ``scripts/ab_timing.py``: no operation differs in bytes, and the ratio is near 1.
+
+    One repetition of three timed calls per side over the 44 ``stiff-sweep``
+    runs; the band [0.8, 1.25] is loose, because the runs share a host that
+    other processes load.
+    """
+    src = str(Path(integrators.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_timing.py"), src, src, "--reps", "1", "--repeats", "3",
+         "--groups", "stiff-sweep"],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+    ).stdout
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["operations"] == 44 and summary["differ"] == []
+    assert 0.8 <= summary["groups"]["stiff-sweep"]["median"] <= 1.25
