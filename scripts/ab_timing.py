@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Time two ``src/`` trees in one process, operation by operation, interleaved.
+"""Compare two ``src/`` trees in one process: output bytes, exit codes and interleaved timings.
 
     python3 scripts/ab_timing.py BASE_SRC [SRC] [--reps R] [--repeats K] [--groups G[,G...]]
 
 Copies ``BASE_SRC/posinv`` and ``SRC/posinv`` (default SRC: the ``src/``
 next to this script) into sibling temporary directories as the packages
 ``posinv_base`` and ``posinv_new`` and loads both in this process; posinv
-imports itself only relatively, so a copy loads under any name.  Each side
-builds its operations from its own package:
+imports itself only relatively, so a copy loads under any name, and a copy
+that holds a module or object of an installed ``posinv`` is refused.  Each
+side builds its operations from its own package:
 
 * ``stiff-sweep``: the 44 ``integrate`` runs of perfbench's ``StiffSweep``
-  at seed 0 (``perfbench/workloads.py`` loaded against that side);
-* ``reproduce``: ``run_experiment`` of each experiment id, and the
-  README's ``posinv integrate`` command of perfbench's ``Reproduce``;
+  at seed 0 and the six ``random:16`` runs of seed 7919 (its other runs
+  are the seed-0 runs again), ``perfbench/workloads.py`` loaded against
+  that side;
+* ``reproduce``: ``cli.main`` on ``reproduce ID --outdir DIR`` for each
+  experiment id, on the README's ``integrate`` command of perfbench's
+  ``Reproduce`` and on each command of ``INTEGRATE_COMMANDS``;
 * ``kernels``: each ``<scheme>_step`` function called on the first 20
   states of its own 20-step trajectory, 20 sweeps, on
   ``paper-stiff?K=1000`` (dt 1), ``paper-5x5`` (dt 0.1) and
@@ -20,9 +24,10 @@ builds its operations from its own package:
   (dt 0.01).
 
 Each operation runs once per side untimed, and its output bytes are
-digested: a run's state, defect and minimum arrays (or its exception), the
-files an experiment or the CLI writes, a kernel's states, taus and aux
-values.  Then, in each of R repetitions (default 4), every operation is
+digested: a run's state, defect and minimum arrays (or its exception); a
+CLI command's exit code, its stdout and stderr (with its directory's path
+replaced) and the files it writes; a kernel's states, taus and aux values.
+Then, in each of R repetitions (default 4), every operation is
 timed K times per side (default 7), the sides alternating and the side that
 goes first flipping with each operation and repeat; each side keeps its
 minimum.  A group's ratio is the sum of its new minima over the sum of its
@@ -34,8 +39,9 @@ repeats, repetition at each level.
 
 Prints each repetition's ratios, each group's median ratio and range, the
 best microseconds per kernel call on each side, every operation whose bytes
-differ, and last a JSON line with the same figures.  Exits 1 when some
-operation's bytes differ.
+differ, every CLI operation that exits non-zero on SRC, and last a JSON
+line with the same figures.  Exits 1 when some operation's bytes differ or
+a CLI operation exits non-zero on SRC.
 
 Claim rule: a speed claim needs the A/B ratio of the claimed group outside
 the range an A/A run (BASE_SRC given twice) reads, in every repetition, and
@@ -58,6 +64,7 @@ import statistics
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +73,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "new")
 GROUPS = ("stiff-sweep", "reproduce", "kernels")
 SUBMODULES = ("errors", "linalg", "pds", "integrators", "stability", "experiments", "cli")
+#: Seeds of the ``StiffSweep`` runs; a later seed's run that an earlier seed has (same scheme, label, dt) is left out.
+SEEDS = (0, 7919)
+_STIFF = ["--model", "builtin:paper-stiff?K=1e+06", "--steps", "500"]
+_FIVE = ["--model", "builtin:paper-5x5", "--scheme", "gbbks2", "--dt", "0.3", "--steps", "400"]
+#: ``posinv integrate`` commands whose stdout is compared: far-stiff runs and gbbks2 off alpha = 1.
+INTEGRATE_COMMANDS = {
+    "stiff K=1e+06 gbbks2 dt=1": ["integrate", *_STIFF, "--scheme", "gbbks2", "--dt", "1"],
+    **{f"stiff K=1e+06 {scheme} dt=1e12": ["integrate", *_STIFF, "--scheme", scheme, "--dt", "1e12"]
+       for scheme in ("geco1", "geco2", "gbbks1")},
+    **{f"5x5 gbbks2 alpha={alpha}": ["integrate", *_FIVE, "--alpha", alpha] for alpha in ("0.5", "3")},
+}
 #: (label, builtin address or random dimension, dt) of the kernel operations.
 KERNEL_CASES = (
     ("paper-stiff?K=1000", "builtin:paper-stiff?K=1000", 1.0),
@@ -78,91 +96,109 @@ KERNEL_SWEEPS = 20
 
 
 def load_package(src: str, name: str, parent: Path):
-    """Copy ``src/posinv`` to ``parent/name`` and import it, with every submodule, as ``name``."""
+    """Copy ``src/posinv`` to ``parent/name`` and import it, with every submodule, as ``name``.
+
+    Exits, naming it, if a module of the copy holds a ``posinv`` module or
+    an object of one: an absolute import would compare the installed tree.
+    """
     shutil.copytree(Path(src) / "posinv", parent / name, ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(parent))
     try:
         package = importlib.import_module(name)
-        for sub in SUBMODULES:
-            importlib.import_module(f"{name}.{sub}")
+        modules = [package, *(importlib.import_module(f"{name}.{sub}") for sub in SUBMODULES)]
     finally:
         sys.path.remove(str(parent))
+    for module in modules:
+        for attr, value in vars(module).items():
+            origin = value.__name__ if isinstance(value, types.ModuleType) else getattr(value, "__module__", None)
+            if isinstance(origin, str) and origin.split(".")[0] == "posinv":
+                raise SystemExit(f"{module.__name__}.{attr} comes from {origin}, not from the copy of {src}")
     return package
 
 
-def load_workloads(package):
-    """``perfbench/workloads.py`` as a module whose ``posinv`` is ``package``."""
+@contextlib.contextmanager
+def as_posinv(package):
+    """Within the block, ``import posinv`` gives ``package``."""
     saved = sys.modules.get("posinv")
     sys.modules["posinv"] = package
     try:
-        spec = importlib.util.spec_from_file_location(
-            f"{package.__name__}_workloads", ROOT / "perfbench" / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look their module up
-        spec.loader.exec_module(module)
+        yield
     finally:
         if saved is None:
             del sys.modules["posinv"]
         else:
             sys.modules["posinv"] = saved
+
+
+def load_workloads(package):
+    """``perfbench/workloads.py`` as a module whose ``posinv`` is ``package``."""
+    spec = importlib.util.spec_from_file_location(
+        f"{package.__name__}_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    with as_posinv(package):
+        spec.loader.exec_module(module)
     return module
-
-
-def _arrays_digest(sha, traj) -> None:
-    for array in (traj.states, traj.invariant_defect, traj.min_component):
-        sha.update(array.tobytes())
 
 
 def stiff_ops(package, workloads, scratch: str) -> dict:
     """One operation per ``StiffSweep`` run: its ``integrate`` call, digesting its arrays or exception."""
     integrate = package.integrators.integrate
-    ops = {}
-    for i, run in enumerate(workloads.StiffSweep(0, scratch).runs):
-        def op(digest=False, run=run):
-            try:
-                traj, text = integrate(run.model, run.scheme, run.y0, run.dt, run.steps), ""
-            except Exception as exc:  # a failing run is part of what is compared
-                traj, text = getattr(exc, "trajectory", None), f"{type(exc).__name__}: {exc}"
-            if not digest:
-                return None
-            sha = hashlib.sha256(text.encode())
-            if traj is not None:
-                _arrays_digest(sha, traj)
-            return sha.hexdigest()
+    ops, seen = {}, set()
+    for seed in SEEDS:
+        for run in workloads.StiffSweep(seed, scratch).runs:
+            what = f"{run.scheme.id} {run.label} dt={run.dt:g}"
+            if what in seen:
+                continue
+            seen.add(what)
 
-        ops[f"stiff-sweep/{i}:{run.scheme.id} {run.label} dt={run.dt:g}"] = op
+            def op(digest=False, run=run):
+                try:
+                    traj, text = integrate(run.model, run.scheme, run.y0, run.dt, run.steps), ""
+                except Exception as exc:  # a failing run is part of what is compared
+                    traj, text = getattr(exc, "trajectory", None), f"{type(exc).__name__}: {exc}"
+                if not digest:
+                    return None
+                sha = hashlib.sha256(text.encode())
+                if traj is not None:
+                    for array in (traj.states, traj.invariant_defect, traj.min_component):
+                        sha.update(array.tobytes())
+                return sha.hexdigest(), None
+
+            ops[f"stiff-sweep/{len(ops)}:{what}"] = op
     return ops
 
 
-def _files_digest(outdir: Path) -> str:
-    sha = hashlib.sha256()
-    for path in sorted(outdir.iterdir()):
-        sha.update(path.name.encode() + b"\0" + path.read_bytes())
-    return sha.hexdigest()
+def cli_ops(package, workloads, scratch: str, side: str) -> dict:
+    """One ``cli.main`` operation per experiment id, the README's integrate and each ``INTEGRATE_COMMANDS``.
 
-
-def reproduce_ops(package, workloads, scratch: str, side: str) -> dict:
-    """One operation per experiment id and one for the README's CLI integrate, digesting the files written."""
+    Each has its own directory; in digest mode it returns the digest and the exit code.
+    """
+    commands = {exp_id: ["reproduce", exp_id, "--outdir", "{dir}"]
+                for exp_id in package.experiments.EXPERIMENT_IDS}
+    commands["cli"] = [*workloads.Reproduce.CLI_ARGS, "--out", "{dir}/cli_integrate.csv"]
+    commands.update(INTEGRATE_COMMANDS)
     ops = {}
-
-    def make(label, call):
-        outdir = Path(scratch) / side / label
+    for label, command in commands.items():
+        outdir = Path(scratch) / side / str(len(ops))
         outdir.mkdir(parents=True)
+        argv = [arg.replace("{dir}", str(outdir)) for arg in command]
 
-        def op(digest=False):
+        def op(digest=False, argv=argv, outdir=outdir):
+            out = io.StringIO()
             try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    call(outdir)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = package.cli.main(argv)
             except Exception as exc:  # a failing operation is part of what is compared
-                return f"{type(exc).__name__}: {exc}"
-            return _files_digest(outdir) if digest else None
+                code = f"{type(exc).__name__}: {exc}"
+            if not digest:
+                return None
+            sha = hashlib.sha256(f"{code}\0{out.getvalue().replace(str(outdir), '{dir}')}".encode())
+            for path in sorted(outdir.iterdir()):
+                sha.update(path.name.encode() + b"\0" + path.read_bytes())
+            return sha.hexdigest(), code
 
         ops[f"reproduce/{label}"] = op
-
-    for exp_id in package.experiments.EXPERIMENT_IDS:
-        make(exp_id, lambda outdir, exp_id=exp_id: package.experiments.run_experiment(exp_id, str(outdir)))
-    argv = list(workloads.Reproduce.CLI_ARGS)
-    make("cli", lambda outdir: package.cli.main([*argv, "--out", str(outdir / "cli_integrate.csv")]))
     return ops
 
 
@@ -187,7 +223,7 @@ def kernel_ops(package) -> dict:
                         for y in states:
                             y_next, tau, aux = kernel(model, y, dt, spec)
                             sha.update(y_next.tobytes() + repr((float(tau).hex(), sorted(aux.items()))).encode())
-                        return sha.hexdigest()
+                        return sha.hexdigest(), None
                     for _ in range(KERNEL_SWEEPS):
                         for y in states:
                             kernel(model, y, dt, spec)
@@ -203,10 +239,20 @@ def build_ops(package, scratch: str, side: str, groups) -> dict:
     if "stiff-sweep" in groups:
         ops.update(stiff_ops(package, workloads, scratch))
     if "reproduce" in groups:
-        ops.update(reproduce_ops(package, workloads, scratch, side))
+        ops.update(cli_ops(package, workloads, scratch, side))
     if "kernels" in groups:
         ops.update(kernel_ops(package))
     return ops
+
+
+def outputs(ops: dict) -> tuple[dict, list[str]]:
+    """Each operation's digest, and each CLI operation that exits non-zero, with its exit code."""
+    digests, failing = {}, []
+    for key, op in ops.items():
+        digests[key], code = op(digest=True)
+        if code not in (None, 0):
+            failing.append(f"{key} (exit {code})")
+    return digests, failing
 
 
 def measure(ops: dict, reps: int, repeats: int) -> list[dict]:
@@ -252,12 +298,12 @@ def main(argv: list[str]) -> int:
     if not groups or len(groups) != len(args.groups.split(",")) or args.reps < 1 or args.repeats < 1:
         parser.error(f"--groups takes names from {GROUPS}; --reps and --repeats are positive")
     with tempfile.TemporaryDirectory() as tmp:
-        ops, digests = {}, {}
+        ops, digests, failing = {}, {}, {}
         for side, src in zip(SIDES, (args.base_src, args.src)):
             parent = Path(tmp) / side
             package = load_package(src, f"posinv_{side}", parent)
             ops[side] = build_ops(package, str(Path(tmp) / "scratch"), side, groups)
-            digests[side] = {key: op(digest=True) for key, op in ops[side].items()}
+            digests[side], failing[side] = outputs(ops[side])
         if list(ops["base"]) != list(ops["new"]):
             print("the trees define different operations", file=sys.stderr)
             return 1
@@ -281,8 +327,11 @@ def main(argv: list[str]) -> int:
     print(f"\n{len(differ)} of {len(digests['base'])} operations differ in bytes")
     for key in differ:
         print(f"  differs: {key}")
-    print(json.dumps({"groups": summary, "operations": len(digests["base"]), "differ": differ}))
-    return 1 if differ else 0
+    for key in failing["new"]:
+        print(f"  exits non-zero on the new tree: {key}")
+    print(json.dumps({"groups": summary, "operations": len(digests["base"]), "differ": differ,
+                      "exit_nonzero": failing["new"]}))
+    return 1 if differ or failing["new"] else 0
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 
     python3 scripts/tau_traffic.py BASE_SRC [SRC]
 
-Records every ``posinv.integrators._newton_tau`` call made by one pass of the
-``reproduce`` workload and one seed-0 pass of ``stiff-sweep`` (the workloads
-of ``perfbench/workloads.py``), with posinv imported from BASE_SRC.  Then it
-replays the recorded calls on BASE_SRC and on SRC (default: the ``src/`` next
-to this script), each in its own process, and prints for each workload:
+Loads BASE_SRC and SRC (default: the ``src/`` next to this script) into this
+process as two packages, with ``ab_timing.load_package``.  Records every
+``integrators._newton_tau`` call made by one pass of the ``reproduce``
+workload and one seed-0 pass of ``stiff-sweep`` (the workloads of
+``perfbench/workloads.py``) on the BASE_SRC package.  Then it replays the
+recorded calls on both packages and prints for each workload:
 
 * the number of calls, and how many return a bit-identical tau on both trees,
   also split into calls whose entries are all normal floats, calls where the
@@ -23,41 +24,27 @@ to this script), each in its own process, and prints for each workload:
 
 Exits 1 when a call that differs is farther from the root on SRC than on
 BASE_SRC, or leaves a float factor nonpositive where BASE_SRC did not.  A
-replay exits 1, naming the function, on a tree whose ``posinv.integrators``
-has no ``_evaluate`` or no ``_newton_root``, instead of counting zeros.
-
-The steps also run on their own:
-
-    python3 scripts/tau_traffic.py --record BASE_SRC TRAFFIC.json
-    python3 scripts/tau_traffic.py --replay SRC TRAFFIC.json RESULT.json
+replay exits 1, naming the function, on a tree whose ``integrators`` has
+no ``_evaluate`` or no ``_newton_root``, instead of counting zeros.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import math
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from mpmath import mp
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_timing import ROOT, SIDES, as_posinv, load_package, load_workloads
+from gen_oracle_values import product_term_root
+
 #: (workload, seed) of the recorded passes.
 PASSES = (("reproduce", 0), ("stiff-sweep", 0))
 #: The functions whose calls a replay counts: the G evaluator and the Newton loop.
 EVALUATOR, NEWTON_LOOP = "_evaluate", "_newton_root"
-
-
-def import_posinv(src: str):
-    sys.path.insert(0, str(Path(src).resolve()))
-    from posinv import integrators
-
-    if not Path(integrators.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"posinv imported from {integrators.__file__}, not from {src}")
-    return integrators
 
 
 @contextlib.contextmanager
@@ -79,38 +66,32 @@ def recorded(integrators):
         integrators._newton_tau = solve
 
 
-def record(src: str, out: str) -> None:
-    """Write the (factors, r) of every ``_newton_tau`` call of each pass to ``out``."""
-    integrators = import_posinv(src)
-    sys.path.insert(1, str(ROOT))
-    from perfbench.workloads import WORKLOADS
-
+def record(package, scratch: str) -> dict:
+    """The (factors, r) of every ``_newton_tau`` call of each pass, run on ``package``."""
+    workloads = load_workloads(package)
     traffic = {}
-    with tempfile.TemporaryDirectory() as scratch:
-        for name, seed in PASSES:
-            workload = WORKLOADS[name](seed, scratch)
-            with recorded(integrators) as calls:
-                outcome = workload.run_pass()
-            if outcome.failed:
-                print(f"warning: {name} pass failed: {outcome.failures}", file=sys.stderr)
-            traffic[name] = calls
-    Path(out).write_text(json.dumps(traffic))
+    for name, seed in PASSES:
+        with as_posinv(package):  # Reproduce imports posinv's cli and experiments when built
+            workload = workloads.WORKLOADS[name](seed, scratch)
+        with recorded(package.integrators) as calls:
+            outcome = workload.run_pass()
+        if outcome.failed:
+            print(f"warning: {name} pass failed: {outcome.failures}", file=sys.stderr)
+        traffic[name] = calls
+    return traffic
 
 
-def replay(src: str, traffic_path: str, out: str) -> None:
-    """Solve every recorded call again; write each tau, its G evaluations and its Newton loops."""
-    integrators = import_posinv(src)
+def replay(integrators, traffic: dict) -> dict:
+    """Solve every recorded call again on ``integrators``: each tau, its G evaluations and its Newton loops."""
     for name in (EVALUATOR, NEWTON_LOOP):
         # calls are counted by code name, so a renamed function would count none
         code = getattr(getattr(integrators, name, None), "__code__", None)
         if code is None or code.co_name != name:
             raise SystemExit(f"{integrators.__file__} has no function {name}; its calls cannot be counted")
     solve = integrators._newton_tau
-    traffic = json.loads(Path(traffic_path).read_text())
     code_file = integrators.__file__
     results = {}
     for name, calls in traffic.items():
-        calls = [([tuple(t) for t in factors], r) for factors, r in calls]
         taus, evals, loops = [], [], []
         count = {"evals": 0, "loops": 0}
 
@@ -134,7 +115,7 @@ def replay(src: str, traffic_path: str, out: str) -> None:
         finally:
             sys.setprofile(None)
         results[name] = {"tau": taus, "evals": evals, "loops": loops}
-    Path(out).write_text(json.dumps(results))
+    return results
 
 
 def all_normal(factors) -> bool:
@@ -165,20 +146,12 @@ def distance(root, tau) -> float:
 
 
 def compare(base_src: str, src: str) -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from gen_oracle_values import product_term_root
-
-    me = [sys.executable, str(Path(__file__).resolve())]
-    worse = 0
     with tempfile.TemporaryDirectory() as tmp:
-        traffic_path = str(Path(tmp) / "traffic.json")
-        subprocess.run([*me, "--record", base_src, traffic_path], check=True)
-        runs = []
-        for i, tree in enumerate((base_src, src)):
-            out = str(Path(tmp) / f"replay{i}.json")
-            subprocess.run([*me, "--replay", tree, traffic_path, out], check=True)
-            runs.append(json.loads(Path(out).read_text()))
-        traffic = json.loads(Path(traffic_path).read_text())
+        packages = [load_package(tree, f"posinv_{side}", Path(tmp) / side)
+                    for side, tree in zip(SIDES, (base_src, src))]
+        traffic = record(packages[0], tmp)
+        runs = [replay(package.integrators, traffic) for package in packages]
+    worse = 0
     print(f"base {base_src}\nnew  {src}")
     for name, calls in traffic.items():
         base, new = runs[0][name], runs[1][name]
@@ -220,12 +193,6 @@ def compare(base_src: str, src: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--record"] and len(argv) == 3:
-        record(argv[1], argv[2])
-        return 0
-    if argv[:1] == ["--replay"] and len(argv) == 4:
-        replay(argv[1], argv[2], argv[3])
-        return 0
     if 1 <= len(argv) <= 2 and not argv[0].startswith("-"):
         return compare(argv[0], argv[1] if len(argv) == 2 else str(ROOT / "src"))
     print(__doc__, file=sys.stderr)

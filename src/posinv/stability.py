@@ -40,8 +40,8 @@ from .pds import LinearPds
 KERNEL_WINDOW = 1e-8
 #: Verdict tolerance around the unit circle.
 VERDICT_TOL = 1e-9
-#: Step-size search cap; reaching it with all values < 1 means unconditional.
-STEP_SEARCH_CAP = 1e6
+#: Search cap on dt*max|lambda|; reaching it with all values < 1 means unconditional.
+Z_SEARCH_CAP = 2.0**40
 
 #: Previously reported bracket for the second-order damped scheme's region
 #: endpoint; our computed root lies outside it (the reported digits are not
@@ -85,13 +85,16 @@ def critical_step(model: LinearPds, scheme) -> CriticalStep:
     Evaluates the supremum of |stability value| over the whole nonzero
     spectrum (complex pairs included) and locates its first crossing of 1 by
     bracket-doubling from 1e-6 followed by bisection to relative width
-    1e-10.  If the search cap is reached with every value below 1 the
-    scheme is unconditionally stable on this model.
+    1e-10.  The doubling stops where dt*max|lambda| reaches ``Z_SEARCH_CAP``,
+    a cap on z rather than on dt, so ``2^k*A`` gets ``2^-k`` times the dt*
+    of A; if it stops there with every value below 1 the scheme is
+    unconditionally stable on this model.
     """
     lams = model.nonzero_eigenvalues
     if lams.size == 0:
         return CriticalStep(None, True, None, None)
     trace = model.trace_s_minus
+    scale = float(np.max(np.abs(lams)))
 
     def radius(dt: float) -> float:
         return max(abs(stability_value(scheme, dt * lam, dt * trace)) for lam in lams)
@@ -101,7 +104,7 @@ def critical_step(model: LinearPds, scheme) -> CriticalStep:
         lo, hi = 0.0, dt
     else:
         lo = None
-        while dt < STEP_SEARCH_CAP:
+        while dt * scale < Z_SEARCH_CAP:
             nxt = 2.0 * dt
             if radius(nxt) >= 1.0:
                 lo, hi = dt, nxt

@@ -19,6 +19,7 @@ import importlib.util
 import itertools
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1592,9 +1593,11 @@ def test_gbbks2_far_above_dt_star_runs_until_no_positive_tau_is_left():
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = str(Path(integrators.__file__).resolve().parent.parent)
 
 
-def load_script(name):
+def load_script(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # the scripts import one another by name
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -1602,16 +1605,12 @@ def load_script(name):
 
 
 @pytest.mark.parametrize("name", ["_evaluate", "_newton_root"])
-def test_tau_traffic_replay_needs_the_functions_it_counts(name, monkeypatch, tmp_path):
+def test_tau_traffic_replay_needs_the_functions_it_counts(name, monkeypatch):
     """Without ``_evaluate`` or ``_newton_root`` the replay would count zero calls; it exits instead."""
-    tau_traffic = load_script("tau_traffic")
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    tau_traffic = load_script("tau_traffic", monkeypatch)
     monkeypatch.delattr(integrators, name)
-    traffic = tmp_path / "traffic.json"
-    traffic.write_text("{}")
-    src = str(Path(integrators.__file__).resolve().parent.parent)
     with pytest.raises(SystemExit, match=f"has no function {name};"):
-        tau_traffic.replay(src, str(traffic), str(tmp_path / "result.json"))
+        tau_traffic.replay(integrators, {})
 
 
 def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
@@ -1620,7 +1619,7 @@ def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
     The recorder passes the run's lift cache through, and each recorded
     (factors, r), solved again without it, gives the tau of its stage.
     """
-    tau_traffic = load_script("tau_traffic")
+    tau_traffic = load_script("tau_traffic", monkeypatch)
     active_taus, stages = [], []
     stage = integrators._stage
 
@@ -1642,16 +1641,42 @@ def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
 def test_ab_timing_on_one_tree_reads_no_difference(tmp_path):
     """An A/A run of ``scripts/ab_timing.py``: no operation differs in bytes, and the ratio is near 1.
 
-    One repetition of three timed calls per side over the 44 ``stiff-sweep``
-    runs; the band [0.8, 1.25] is loose, because the runs share a host that
-    other processes load.
+    One repetition of three timed calls per side over the 50 ``stiff-sweep``
+    runs (44 of seed 0, six of seed 7919); the band [0.8, 1.25] is loose,
+    because the runs share a host that other processes load.
     """
-    src = str(Path(integrators.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "ab_timing.py"), src, src, "--reps", "1", "--repeats", "3",
+        [sys.executable, str(SCRIPTS / "ab_timing.py"), SRC, SRC, "--reps", "1", "--repeats", "3",
          "--groups", "stiff-sweep"],
         capture_output=True, text=True, check=True, cwd=tmp_path,
     ).stdout
     summary = json.loads(out.strip().splitlines()[-1])
-    assert summary["operations"] == 44 and summary["differ"] == []
+    assert summary["operations"] == 50 and summary["differ"] == []
     assert 0.8 <= summary["groups"]["stiff-sweep"]["median"] <= 1.25
+
+
+@pytest.mark.parametrize("line, attr", [("from posinv.errors import ModelError", "ModelError"),
+                                        ("import posinv.linalg", "posinv")])
+def test_ab_timing_refuses_a_copy_that_imports_posinv_absolutely(line, attr, monkeypatch, tmp_path):
+    """A copy holding an installed ``posinv`` module or object would compare that tree; it is refused."""
+    ab_timing = load_script("ab_timing", monkeypatch)
+    (tmp_path / "src").mkdir()
+    copy = tmp_path / "src" / "posinv"
+    shutil.copytree(Path(SRC) / "posinv", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "stability.py", "a", encoding="utf-8") as handle:
+        handle.write(f"\n{line}\n")
+    name = f"posinv_absolute_{attr}"
+    with pytest.raises(SystemExit, match=rf"^{name}\.stability\.{attr} comes from posinv"):
+        ab_timing.load_package(str(tmp_path / "src"), name, tmp_path / "loaded")
+
+
+def test_ab_timing_names_a_cli_operation_that_exits_non_zero(monkeypatch, tmp_path):
+    """Every CLI operation must exit 0 on the new tree; one that does not is named with its code."""
+    ab_timing = load_script("ab_timing", monkeypatch)
+    package = ab_timing.load_package(SRC, "posinv_exit_code", tmp_path)
+    workloads = ab_timing.load_workloads(package)
+    monkeypatch.setattr(package.cli, "main", lambda argv: 3 if "geco2" in argv else 0)
+    ops = ab_timing.cli_ops(package, workloads, str(tmp_path / "scratch"), "new")
+    digests, failing = ab_timing.outputs(ops)
+    assert len(digests) == 18
+    assert failing == ["reproduce/stiff K=1e+06 geco2 dt=1e12 (exit 3)"]

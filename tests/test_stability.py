@@ -112,6 +112,21 @@ class TestCriticalStep:
             )
             assert abs(value) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [-30, 30])
+    def test_scaled_matrix_scales_the_critical_step(self, k):
+        """2^k*A has 2^-k times the dt* of A: the search is capped in z, not in dt.
+
+        Under an absolute cap on dt, the 5x5 model scaled by 2^-30 read
+        "unconditional" for every scheme.
+        """
+        scaled = LinearPds.from_matrix(2.0**k * FIVE)
+        for name in SCHEME_IDS:
+            crit = stability.critical_step(scaled, make_scheme(name))
+            unscaled = stability.critical_step(MODEL_5X5, make_scheme(name))
+            assert crit.unconditional == unscaled.unconditional == (name == "geco1")
+            if name != "geco1":
+                assert crit.dt_star * 2.0**k == pytest.approx(unscaled.dt_star, rel=1e-9)
+
 
 class TestCertificate:
     def test_five_by_five(self):
