@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two ``src/`` trees in one process: output bytes, exit codes and interleaved timings.
+"""Compare two ``src/`` trees in one process: output bytes, exit codes, product-term solves and interleaved timings.
 
     python3 scripts/ab_timing.py BASE_SRC [SRC] [--reps R] [--repeats K] [--groups G[,G...]]
 
@@ -27,6 +27,23 @@ Each operation runs once per side untimed, and its output bytes are
 digested: a run's state, defect and minimum arrays (or its exception); a
 CLI command's exit code, its stdout and stderr (with its directory's path
 replaced) and the files it writes; a kernel's states, taus and aux values.
+The base side's pass also records every ``integrators._newton_tau`` call
+per group; the recorder is gone before anything is timed.  The recorded
+calls are solved again on both packages, and for each group the script
+reports:
+
+* the calls, and how many return a bit-identical tau on both trees, also
+  split into calls whose entries are all normal floats, calls where the
+  base tree returned a positivity boundary below the root (the next float
+  up would make a float factor c + d*tau nonpositive, and the exact G is
+  still positive there) and the rest;
+* evaluations of G per call (every call of ``_evaluate``, also the one that
+  tests the positivity boundary), and the calls decided without the Newton
+  loop (no call of ``_newton_root``), on each tree;
+* for every call whose tau differs, the relative distance of each tree's
+  tau from the 50-digit root (``gen_oracle_values.product_term_root``), and
+  whether each keeps every float factor positive.
+
 Then, in each of R repetitions (default 4), every operation is
 timed K times per side (default 7), the sides alternating and the side that
 goes first flipping with each operation and repeat; each side keeps its
@@ -39,9 +56,13 @@ repeats, repetition at each level.
 
 Prints each repetition's ratios, each group's median ratio and range, the
 best microseconds per kernel call on each side, every operation whose bytes
-differ, every CLI operation that exits non-zero on SRC, and last a JSON
-line with the same figures.  Exits 1 when some operation's bytes differ or
-a CLI operation exits non-zero on SRC.
+differ, every CLI operation that exits non-zero on SRC, the solve figures,
+and last a JSON line with the same figures.  Exits 1 when some operation's
+bytes differ, a CLI operation exits non-zero on SRC, or a differing solve
+is farther from the root on SRC than on BASE_SRC or leaves a float factor
+nonpositive where BASE_SRC did not.  It also exits 1, naming the function,
+on a tree whose ``integrators`` has no ``_evaluate`` or no
+``_newton_root``, instead of counting zeros.
 
 Claim rule: a speed claim needs the A/B ratio of the claimed group outside
 the range an A/A run (BASE_SRC given twice) reads, in every repetition, and
@@ -59,6 +80,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -68,6 +90,9 @@ import types
 from pathlib import Path
 
 import numpy as np
+from mpmath import mp
+
+from gen_oracle_values import product_term_root
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "new")
@@ -76,13 +101,15 @@ SUBMODULES = ("errors", "linalg", "pds", "integrators", "stability", "experiment
 #: Seeds of the ``StiffSweep`` runs; a later seed's run that an earlier seed has (same scheme, label, dt) is left out.
 SEEDS = (0, 7919)
 _STIFF = ["--model", "builtin:paper-stiff?K=1e+06", "--steps", "500"]
-_FIVE = ["--model", "builtin:paper-5x5", "--scheme", "gbbks2", "--dt", "0.3", "--steps", "400"]
-#: ``posinv integrate`` commands whose stdout is compared: far-stiff runs and gbbks2 off alpha = 1.
+_FIVE = ["--model", "builtin:paper-5x5", "--scheme", "gbbks2"]
+#: ``posinv integrate`` commands whose stdout is compared: far-stiff runs, gbbks2 off alpha = 1 and above dt*.
 INTEGRATE_COMMANDS = {
     "stiff K=1e+06 gbbks2 dt=1": ["integrate", *_STIFF, "--scheme", "gbbks2", "--dt", "1"],
     **{f"stiff K=1e+06 {scheme} dt=1e12": ["integrate", *_STIFF, "--scheme", scheme, "--dt", "1e12"]
        for scheme in ("geco1", "geco2", "gbbks1")},
-    **{f"5x5 gbbks2 alpha={alpha}": ["integrate", *_FIVE, "--alpha", alpha] for alpha in ("0.5", "3")},
+    **{f"5x5 gbbks2 alpha={alpha}": ["integrate", *_FIVE, "--dt", "0.3", "--steps", "400", "--alpha", alpha]
+       for alpha in ("0.5", "3")},
+    "5x5 gbbks2 dt=1.5": ["integrate", *_FIVE, "--dt", "1.5", "--steps", "3000"],
 }
 #: (label, builtin address or random dimension, dt) of the kernel operations.
 KERNEL_CASES = (
@@ -93,6 +120,10 @@ KERNEL_CASES = (
 )
 KERNEL_STATES = 20
 KERNEL_SWEEPS = 20
+#: The functions whose calls a replay counts: the G evaluator and the Newton loop.
+EVALUATOR, NEWTON_LOOP = "_evaluate", "_newton_root"
+#: Classes of a recorded solve, by its factors and the base tree's tau.
+CLASSES = ("all-normal", "base at boundary below root", "other")
 
 
 def load_package(src: str, name: str, parent: Path):
@@ -245,14 +276,149 @@ def build_ops(package, scratch: str, side: str, groups) -> dict:
     return ops
 
 
-def outputs(ops: dict) -> tuple[dict, list[str]]:
-    """Each operation's digest, and each CLI operation that exits non-zero, with its exit code."""
-    digests, failing = {}, []
-    for key, op in ops.items():
-        digests[key], code = op(digest=True)
-        if code not in (None, 0):
-            failing.append(f"{key} (exit {code})")
-    return digests, failing
+def outputs(ops: dict, integrators=None) -> tuple[dict, list[str], dict]:
+    """Each operation's digest, each CLI operation that exits non-zero (with its exit code), and the solves.
+
+    The solves are, per group, the (factors, r) of every ``integrators._newton_tau``
+    call the operations make; none are recorded without ``integrators``.
+    """
+    digests, failing, traffic = {}, [], {}
+    with recorded(integrators) if integrators else contextlib.nullcontext([]) as calls:
+        for key, op in ops.items():
+            digests[key], code = op(digest=True)
+            if code not in (None, 0):
+                failing.append(f"{key} (exit {code})")
+            if calls:
+                traffic.setdefault(key.split("/")[0], []).extend(calls)
+                calls.clear()
+    return digests, failing, traffic
+
+
+@contextlib.contextmanager
+def recorded(integrators):
+    """Within the block, record the (factors, r) of every ``integrators._newton_tau`` call in the list yielded.
+
+    Arguments after ``r`` (a bound run's lift cache) are passed through, not recorded.
+    """
+    calls, solve = [], integrators._newton_tau
+
+    def recording(factors, r, *rest):
+        calls.append((list(factors), r))
+        return solve(factors, r, *rest)
+
+    integrators._newton_tau = recording
+    try:
+        yield calls
+    finally:
+        integrators._newton_tau = solve
+
+
+def replay(integrators, traffic: dict) -> dict:
+    """Solve every recorded call again on ``integrators``: each tau, its G evaluations and its Newton loops."""
+    codes = []
+    for name in (EVALUATOR, NEWTON_LOOP):
+        # calls are counted by code object, so a renamed function would count none
+        code = getattr(getattr(integrators, name, None), "__code__", None)
+        if code is None or code.co_name != name:
+            raise SystemExit(f"{integrators.__file__} has no function {name}; its calls cannot be counted")
+        codes.append(code)
+    evaluator, newton_loop = codes
+    solve, results = integrators._newton_tau, {}
+    for group, calls in traffic.items():
+        taus, evals, loops = [], [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if frame.f_code is evaluator:
+                    evals[-1] += 1
+                elif frame.f_code is newton_loop:
+                    loops[-1] += 1
+
+        sys.setprofile(profile)
+        try:
+            for factors, r in calls:
+                evals.append(0)
+                loops.append(0)
+                try:
+                    taus.append(solve(factors, r))
+                except Exception as exc:  # a failing solve is reported, not fatal
+                    taus.append(f"{type(exc).__name__}: {exc}")
+        finally:
+            sys.setprofile(None)
+        results[group] = {"tau": taus, "evals": evals, "loops": loops}
+    return results
+
+
+def keeps_positive(factors, tau) -> bool:
+    return isinstance(tau, float) and all(c + d * tau > 0.0 for c, d, _ in factors)
+
+
+def classify(factors, r, tau) -> str:
+    """The class of a solve whose base tau is ``tau``: all-normal entries, a boundary below the root, or other."""
+    if all(abs(v) >= 2.0**-1022 for triple in factors for v in triple):
+        return CLASSES[0]
+    up = math.nextafter(tau, math.inf) if isinstance(tau, float) else tau
+    if keeps_positive(factors, tau) and not keeps_positive(factors, up) and exact_g(factors, r, tau) > 0:
+        return CLASSES[1]
+    return CLASSES[2]
+
+
+def exact_g(factors, r, tau):
+    """G(tau) at 60 digits, with the floats taken exactly."""
+    with mp.workdps(60):
+        prod = mp.mpf(1)
+        for c, d, s in factors:
+            prod *= (mp.mpf(c) + mp.mpf(d) * mp.mpf(tau)) / mp.mpf(s)
+        return prod ** mp.mpf(r) - mp.mpf(tau)
+
+
+def differing(factors, r, taus: list) -> dict:
+    """A solve whose (base, new) ``taus`` differ: each one's distance from the root, its positivity, and the verdict.
+
+    The distance is relative, from the 50-digit root.  SRC's tau is worse when
+    it is farther from the root, or leaves a float factor nonpositive where
+    the base's did not.
+    """
+    c, d, s = zip(*factors)
+    try:
+        root = product_term_root(c, d, s, r)
+        dist = [float(abs(tau - root) / root) if isinstance(tau, float) else math.inf for tau in taus]
+        oracle = None
+    except ValueError as exc:
+        dist, oracle = [math.nan, math.nan], str(exc)
+    positive = [keeps_positive(factors, tau) for tau in taus]
+    return {"m": len(factors), "tau": taus, "from_root": dist, "positive": positive, "oracle_error": oracle,
+            "worse": dist[1] > dist[0] or (positive[0] and not positive[1])}
+
+
+def solve_report(traffic: dict, runs: list[dict]) -> tuple[dict, list[str]]:
+    """Per group, the solve figures of the base and new replays ``runs`` of ``traffic``, and their printed lines."""
+    figures, lines = {}, []
+    for group, calls in traffic.items():
+        base, new = (run[group] for run in runs)
+        n = len(calls)
+        same = [base["tau"][i] == new["tau"][i] for i in range(n)]
+        label = [classify(factors, r, tau) for (factors, r), tau in zip(calls, base["tau"])]
+        classes = {name: {"calls": label.count(name),
+                          "identical": sum(equal for equal, of in zip(same, label) if of == name)}
+                   for name in CLASSES}
+        sides = {side: {"evals_per_call": sum(run["evals"]) / max(n, 1), "without_newton": run["loops"].count(0)}
+                 for side, run in zip(SIDES, (base, new))}
+        diffs = {i: differing(*calls[i], [base["tau"][i], new["tau"][i]]) for i in range(n) if not same[i]}
+        figures[group] = {"calls": n, "identical": sum(same), "classes": classes, **sides,
+                          "differing": {i: {"class": label[i], **d} for i, d in diffs.items()},
+                          "worse": sum(d["worse"] for d in diffs.values())}
+        lines.append(f"\n{group}: {n} calls, {sum(same)} bit-identical")
+        lines += [f"  {name}: {v['calls']} calls, {v['identical']} bit-identical" for name, v in classes.items()]
+        lines += [f"  {side}: {v['evals_per_call']:.2f} G evaluations per call, "
+                  f"{v['without_newton']} calls decided without the Newton loop" for side, v in sides.items()]
+        for i, d in diffs.items():
+            lines.append(f"  call {i} ({label[i]}): m={d['m']} tau base {d['tau'][0]!r} new {d['tau'][1]!r}; "
+                         f"from root base {d['from_root'][0]:.2e} new {d['from_root'][1]:.2e}; positive base "
+                         f"{d['positive'][0]} new {d['positive'][1]}"
+                         + (f"; oracle failed: {d['oracle_error']}" if d["oracle_error"] else "")
+                         + ("  WORSE" if d["worse"] else ""))
+    return figures, lines
 
 
 def measure(ops: dict, reps: int, repeats: int) -> list[dict]:
@@ -298,15 +464,17 @@ def main(argv: list[str]) -> int:
     if not groups or len(groups) != len(args.groups.split(",")) or args.reps < 1 or args.repeats < 1:
         parser.error(f"--groups takes names from {GROUPS}; --reps and --repeats are positive")
     with tempfile.TemporaryDirectory() as tmp:
-        ops, digests, failing = {}, {}, {}
+        ops, digests, failing, traffic, integrators = {}, {}, {}, {}, {}
         for side, src in zip(SIDES, (args.base_src, args.src)):
-            parent = Path(tmp) / side
-            package = load_package(src, f"posinv_{side}", parent)
+            package = load_package(src, f"posinv_{side}", Path(tmp) / side)
+            integrators[side] = package.integrators
             ops[side] = build_ops(package, str(Path(tmp) / "scratch"), side, groups)
-            digests[side], failing[side] = outputs(ops[side])
+            # only the base side's pass records the product-term solves; both sides replay them
+            digests[side], failing[side], traffic[side] = outputs(ops[side], integrators["base"] if side == "base" else None)
         if list(ops["base"]) != list(ops["new"]):
             print("the trees define different operations", file=sys.stderr)
             return 1
+        solves, solve_lines = solve_report(traffic["base"], [replay(integrators[side], traffic["base"]) for side in SIDES])
         results = measure(ops, args.reps, args.repeats)
     summary = summarize(results, groups)
     differ = [key for key in digests["base"] if digests["base"][key] != digests["new"][key]]
@@ -329,9 +497,11 @@ def main(argv: list[str]) -> int:
         print(f"  differs: {key}")
     for key in failing["new"]:
         print(f"  exits non-zero on the new tree: {key}")
+    worse = sum(figures["worse"] for figures in solves.values())
+    print("\n".join(solve_lines) + f"\n\n{worse} differing solves worse on the new tree")
     print(json.dumps({"groups": summary, "operations": len(digests["base"]), "differ": differ,
-                      "exit_nonzero": failing["new"]}))
-    return 1 if differ or failing["new"] else 0
+                      "exit_nonzero": failing["new"], "solves": solves, "worse_solves": worse}))
+    return 1 if differ or failing["new"] or worse else 0
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ Models are addressed as ``builtin:name?params``, a model-file path, or
 ``random:N`` (a seeded member of the conservative Metzler class; ``--seed K``
 goes before the subcommand or after ``integrate``, ``stability`` or
 ``order``, and the one after it wins).  Exit codes: 0 ok, 1 a ``reproduce``
-check failed, 2 usage or model error or an ``--out``/``--outdir`` path that
-cannot be written, 3 numerical failure.  Identical command lines produce
+check failed, 2 usage or model error, an ``--out``/``--outdir`` path that
+cannot be written (for ``--out``, a full device included) or a run too large
+for memory, 3 numerical failure.  Identical command lines produce
 byte-identical output files.
 """
 
@@ -184,6 +185,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # the arrays of the run do not fit: fewer --steps would
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         if exc.filename is None:

@@ -74,9 +74,18 @@ def write_rows(handle, header: list[str], rows) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write the table to ``path`` in the form of :func:`write_rows`."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_rows(handle, header, rows)
+    """Write the table to ``path`` in the form of :func:`write_rows`.
+
+    An ``OSError`` that names no file (a full device, raised as the file is
+    written or closed) is raised again naming ``path``.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_rows(handle, header, rows)
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 @dataclass

@@ -116,6 +116,32 @@ class TestIntegrate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_out_on_a_full_device_exits_2(self, capsys):
+        """A write that fails for want of space names the ``--out`` path: one ``error:`` line, no traceback."""
+        code, out, err = run(capsys, "integrate", "--model", "builtin:paper-2x2", "--scheme",
+                             "euler", "--dt", "0.1", "--steps", "3", "--out", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "/dev/full" in err
+
+    def test_run_too_large_for_memory_exits_2(self, capsys, monkeypatch):
+        """A ``MemoryError`` (numpy's, when a run's arrays cannot be allocated) is one ``error:`` line.
+
+        It is raised by a stand-in: a real allocation of that size might be
+        granted by a host that overcommits memory, and then fill it.
+        """
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array with shape (100000000001, 2)")
+
+        monkeypatch.setattr("posinv.cli.integrate", too_large)
+        code, out, err = run(capsys, "integrate", "--model", "builtin:paper-2x2", "--scheme",
+                             "euler", "--dt", "0.1", "--steps", "100000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Unable to allocate 1.46 TiB for an array with shape (100000000001, 2)\n"
+
     def test_unknown_scheme_exits_2(self, capsys):
         code, _, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
                          "--scheme", "rk4", "--dt", "1", "--steps", "1")

@@ -22,6 +22,7 @@ import math
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -1605,21 +1606,21 @@ def load_script(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["_evaluate", "_newton_root"])
-def test_tau_traffic_replay_needs_the_functions_it_counts(name, monkeypatch):
+def test_solve_replay_needs_the_functions_it_counts(name, monkeypatch):
     """Without ``_evaluate`` or ``_newton_root`` the replay would count zero calls; it exits instead."""
-    tau_traffic = load_script("tau_traffic", monkeypatch)
+    ab_timing = load_script("ab_timing", monkeypatch)
     monkeypatch.delattr(integrators, name)
     with pytest.raises(SystemExit, match=f"has no function {name};"):
-        tau_traffic.replay(integrators, {})
+        ab_timing.replay(integrators, {})
 
 
-def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
+def test_solve_recorder_records_one_call_per_stage_with_an_active_set(monkeypatch):
     """A short stiff gbbks2 run: one recorded solve per stage with a negative slope, in stage order.
 
     The recorder passes the run's lift cache through, and each recorded
     (factors, r), solved again without it, gives the tau of its stage.
     """
-    tau_traffic = load_script("tau_traffic", monkeypatch)
+    ab_timing = load_script("ab_timing", monkeypatch)
     active_taus, stages = [], []
     stage = integrators._stage
 
@@ -1631,7 +1632,7 @@ def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
         return out
 
     monkeypatch.setattr(integrators, "_stage", counted)
-    with tau_traffic.recorded(integrators) as calls:
+    with ab_timing.recorded(integrators) as calls:
         integrate(PAPER_STIFF.build(), make_scheme("gbbks2"), PAPER_STIFF.y0, 1.0, 30)
     assert integrators._newton_tau.__name__ == "_newton_tau"  # the recorder is gone
     assert len(stages) == 60 and len(calls) == len(active_taus) > 30
@@ -1639,11 +1640,12 @@ def test_tau_traffic_records_one_call_per_stage_with_an_active_set(monkeypatch):
 
 
 def test_ab_timing_on_one_tree_reads_no_difference(tmp_path):
-    """An A/A run of ``scripts/ab_timing.py``: no operation differs in bytes, and the ratio is near 1.
+    """An A/A run of ``scripts/ab_timing.py``: no operation or solve differs, and the ratio is near 1.
 
     One repetition of three timed calls per side over the 50 ``stiff-sweep``
     runs (44 of seed 0, six of seed 7919); the band [0.8, 1.25] is loose,
-    because the runs share a host that other processes load.
+    because the runs share a host that other processes load.  Every replayed
+    product-term solve of those runs is bit-identical, and none is worse.
     """
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "ab_timing.py"), SRC, SRC, "--reps", "1", "--repeats", "3",
@@ -1653,6 +1655,9 @@ def test_ab_timing_on_one_tree_reads_no_difference(tmp_path):
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["operations"] == 50 and summary["differ"] == []
     assert 0.8 <= summary["groups"]["stiff-sweep"]["median"] <= 1.25
+    solves = summary["solves"]["stiff-sweep"]
+    assert solves["calls"] > 0 and solves["identical"] == solves["calls"]
+    assert solves["worse"] == summary["worse_solves"] == 0
 
 
 @pytest.mark.parametrize("line, attr", [("from posinv.errors import ModelError", "ModelError"),
@@ -1677,6 +1682,44 @@ def test_ab_timing_names_a_cli_operation_that_exits_non_zero(monkeypatch, tmp_pa
     workloads = ab_timing.load_workloads(package)
     monkeypatch.setattr(package.cli, "main", lambda argv: 3 if "geco2" in argv else 0)
     ops = ab_timing.cli_ops(package, workloads, str(tmp_path / "scratch"), "new")
-    digests, failing = ab_timing.outputs(ops)
-    assert len(digests) == 18
+    digests, failing, _ = ab_timing.outputs(ops)
+    assert len(digests) == 19
     assert failing == ["reproduce/stiff K=1e+06 geco2 dt=1e12 (exit 3)"]
+
+
+def test_solve_report_counts_only_a_solve_farther_from_the_root_as_worse(monkeypatch):
+    """Of three replayed solves, SRC's tau is the same, one ulp farther from and one ulp closer to the root.
+
+    On (1 - tau/2)^1 = tau the 50-digit root is 2/3; its nearest float
+    ``near`` is closer to it than either neighbour, and every tau here
+    keeps the factor positive, so only the distance decides.
+    """
+    ab_timing = load_script("ab_timing", monkeypatch)
+    factors, r = [(1.0, -0.5, 1.0)], 1.0
+    near = float(ab_timing.product_term_root([1.0], [-0.5], [1.0], r))
+    off = math.nextafter(near, 0.0)
+    traffic = {"g": [(factors, r)] * 3}
+    runs = [{"g": {"tau": taus, "evals": [1] * 3, "loops": [1] * 3}} for taus in ([near, near, off], [near, off, near])]
+    figures, lines = ab_timing.solve_report(traffic, runs)
+    report = figures["g"]
+    assert report["calls"] == 3 and report["identical"] == 1 and report["worse"] == 1
+    assert {i: d["worse"] for i, d in report["differing"].items()} == {1: True, 2: False}
+    assert report["differing"][1]["from_root"][1] > report["differing"][1]["from_root"][0]
+    assert [line.endswith("WORSE") for line in lines if line.startswith("  call ")] == [True, False]
+
+
+def test_solve_classes_take_the_sign_of_g_exactly(monkeypatch):
+    """The sign of G that classifies a solve, at 60 digits, is that of exact fractions.
+
+    The taus straddle the root of a subnormal factor, where G's float value
+    has no correct digit.
+    """
+    ab_timing = load_script("ab_timing", monkeypatch)
+    factors = [(3e-310, -1e-3, 1.0), (0.5, -0.25, 0.7)]
+    near = float(ab_timing.product_term_root([3e-310, 0.5], [-1e-3, -0.25], [1.0, 0.7], 1.0))
+    signs = []
+    for tau in (0.0, math.ulp(0.0), math.nextafter(near, 0.0), near, math.nextafter(near, 1.0), 0.5):
+        prod = math.prod((Fraction(c) + Fraction(d) * Fraction(tau)) / Fraction(s) for c, d, s in factors)
+        signs.append(prod - Fraction(tau) > 0)
+        assert (ab_timing.exact_g(factors, 1.0, tau) > 0) == signs[-1]
+    assert True in signs and False in signs
