@@ -16,7 +16,10 @@ side builds its operations from its own package:
   that side;
 * ``reproduce``: ``cli.main`` on ``reproduce ID --outdir DIR`` for each
   experiment id, on the README's ``integrate`` command of perfbench's
-  ``Reproduce`` and on each command of ``INTEGRATE_COMMANDS``;
+  ``Reproduce``, on each command of ``INTEGRATE_COMMANDS`` and on each of
+  ``STABILITY_COMMANDS``: ``stability`` on ``paper-2x2``, ``paper-5x5`` and
+  ``paper-stiff?K=10`` under each of the six schemes, and on ``random:4``
+  under euler with ``--seed 7`` after the subcommand;
 * ``kernels``: each ``<scheme>_step`` function called on the first 20
   states of its own 20-step trajectory, 20 sweeps, on
   ``paper-stiff?K=1000`` (dt 1), ``paper-5x5`` (dt 0.1) and
@@ -90,9 +93,8 @@ import types
 from pathlib import Path
 
 import numpy as np
-from mpmath import mp
 
-from gen_oracle_values import product_term_root
+from gen_oracle_values import exact_g, product_term_root
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "new")
@@ -110,6 +112,13 @@ INTEGRATE_COMMANDS = {
     **{f"5x5 gbbks2 alpha={alpha}": ["integrate", *_FIVE, "--dt", "0.3", "--steps", "400", "--alpha", alpha]
        for alpha in ("0.5", "3")},
     "5x5 gbbks2 dt=1.5": ["integrate", *_FIVE, "--dt", "1.5", "--steps", "3000"],
+}
+#: ``posinv stability`` commands whose stdout is compared: each builtin model under each scheme, and random:4.
+STABILITY_COMMANDS = {
+    **{f"stability {model.removeprefix('builtin:')} {scheme}": ["stability", "--model", model, "--scheme", scheme]
+       for model in ("builtin:paper-2x2", "builtin:paper-5x5", "builtin:paper-stiff?K=10")
+       for scheme in ("euler", "heun", "geco1", "geco2", "gbbks1", "gbbks2")},
+    "stability random:4 euler --seed 7": ["stability", "--model", "random:4", "--scheme", "euler", "--seed", "7"],
 }
 #: (label, builtin address or random dimension, dt) of the kernel operations.
 KERNEL_CASES = (
@@ -201,7 +210,7 @@ def stiff_ops(package, workloads, scratch: str) -> dict:
 
 
 def cli_ops(package, workloads, scratch: str, side: str) -> dict:
-    """One ``cli.main`` operation per experiment id, the README's integrate and each ``INTEGRATE_COMMANDS``.
+    """One ``cli.main`` operation per experiment id, the README's integrate and each of the two command tables.
 
     Each has its own directory; in digest mode it returns the digest and the exit code.
     """
@@ -209,6 +218,7 @@ def cli_ops(package, workloads, scratch: str, side: str) -> dict:
                 for exp_id in package.experiments.EXPERIMENT_IDS}
     commands["cli"] = [*workloads.Reproduce.CLI_ARGS, "--out", "{dir}/cli_integrate.csv"]
     commands.update(INTEGRATE_COMMANDS)
+    commands.update(STABILITY_COMMANDS)
     ops = {}
     for label, command in commands.items():
         outdir = Path(scratch) / side / str(len(ops))
@@ -361,15 +371,6 @@ def classify(factors, r, tau) -> str:
     if keeps_positive(factors, tau) and not keeps_positive(factors, up) and exact_g(factors, r, tau) > 0:
         return CLASSES[1]
     return CLASSES[2]
-
-
-def exact_g(factors, r, tau):
-    """G(tau) at 60 digits, with the floats taken exactly."""
-    with mp.workdps(60):
-        prod = mp.mpf(1)
-        for c, d, s in factors:
-            prod *= (mp.mpf(c) + mp.mpf(d) * mp.mpf(tau)) / mp.mpf(s)
-        return prod ** mp.mpf(r) - mp.mpf(tau)
 
 
 def differing(factors, r, taus: list) -> dict:

@@ -6,7 +6,8 @@ formulas directly at 40 decimal digits (mpmath), independently of the
 package implementation; kernel vectors come from exact rational elimination.
 The stiff crossing times iterate the discrete geco1 map at the same precision.
 Run and compare against the constants embedded in tests/.  The test suite
-also imports ``product_term_root`` from here as the oracle of ``solve_tau``.
+and ``scripts/ab_timing.py`` also import ``product_term_root`` from here as
+the oracle of ``solve_tau``, and ``exact_g``, the sign of G at a float tau.
 
 Usage: python scripts/gen_oracle_values.py
 """
@@ -123,6 +124,13 @@ def product_term_root(c, d, sigma, r, dps=50):
         if not residual(root * (1 - width)) > 0 > residual(root * (1 + width)):
             raise ValueError(f"product-term root not bracketed to {width} relative")
         return root
+
+
+def exact_g(factors, r, tau):
+    """G(tau) = (prod_m (c_m + d_m*tau) / sigma_m)^r - tau at 60 digits, with the floats taken exactly."""
+    with mp.workdps(60):
+        prod = mp.fprod((mp.mpf(c) + mp.mpf(d) * mp.mpf(tau)) / mp.mpf(s) for c, d, s in factors)
+        return prod ** mp.mpf(r) - mp.mpf(tau)
 
 
 def show(name, value, digits=22):

@@ -12,8 +12,8 @@ Models are addressed as ``builtin:name?params``, a model-file path, or
 goes before the subcommand or after ``integrate``, ``stability`` or
 ``order``, and the one after it wins).  Exit codes: 0 ok, 1 a ``reproduce``
 check failed, 2 usage or model error, an ``--out``/``--outdir`` path that
-cannot be written (for ``--out``, a full device included) or a run too large
-for memory, 3 numerical failure.  Identical command lines produce
+cannot be written (a full device included) or a run too large for memory,
+3 numerical failure.  Identical command lines produce
 byte-identical output files.
 """
 

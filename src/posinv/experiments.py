@@ -18,6 +18,7 @@ import json
 import math
 import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -73,19 +74,26 @@ def write_rows(handle, header: list[str], rows) -> None:
         handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write the table to ``path`` in the form of :func:`write_rows`.
+@contextmanager
+def _written(path: str) -> Iterator:
+    """``path`` opened for writing LF-terminated UTF-8 text.
 
     An ``OSError`` that names no file (a full device, raised as the file is
     written or closed) is raised again naming ``path``.
     """
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            write_rows(handle, header, rows)
+            yield handle
     except OSError as exc:
         if exc.filename is not None:
             raise
         raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write the table to ``path`` in the form of :func:`write_rows`."""
+    with _written(path) as handle:
+        write_rows(handle, header, rows)
 
 
 @dataclass
@@ -114,7 +122,7 @@ def _summary(outdir: str, exp_id: str, checks: list[Check], extra: dict | None =
     }
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _written(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=_plain)
         handle.write("\n")
     return path
@@ -426,7 +434,11 @@ def run_jacobians(outdir: str) -> tuple[list[str], list[Check]]:
 
 
 def observed_orders(model, scheme, y0, tmax: float, dts) -> list[tuple[float, float, float]]:
-    """Rows of (dt, error at tmax, order vs previous row); order is nan first."""
+    """Rows of (dt, error at tmax, order vs previous row).
+
+    The order is nan on the first row and where either error is 0.  A ``dt``
+    that is not positive or leaves ``tmax / dt`` infinite is a ``ValueError``.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         reference = expm(model.a, tmax) @ y0
     if not np.all(np.isfinite(reference)):
@@ -434,12 +446,14 @@ def observed_orders(model, scheme, y0, tmax: float, dts) -> list[tuple[float, fl
     out = []
     prev_err = None
     for dt in dts:
+        if not (dt > 0.0 and math.isfinite(tmax / dt)):
+            raise ValueError(f"dt {dt} gives no finite step count for tmax {tmax}")
         n_steps = round(tmax / dt)
         if abs(n_steps * dt - tmax) > 1e-12 * tmax:
             raise ValueError(f"dt {dt} does not divide tmax {tmax}")
         traj = integrate(model, scheme, y0, dt=dt, n_steps=n_steps)
         err = float(np.max(np.abs(traj.final - reference)))
-        order = math.nan if prev_err is None else math.log2(prev_err / err)
+        order = math.log2(prev_err / err) if prev_err and err else math.nan
         out.append((dt, err, order))
         prev_err = err
     return out

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, CSV format, exit codes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -285,6 +286,18 @@ class TestReproduce:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "taken" in err
 
+    def test_summary_on_a_full_device_exits_2(self, capsys, monkeypatch, tmp_path):
+        """A full device while the JSON summary is written is a usage error that names it, as for a CSV."""
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(experiments.json, "dump", full)
+        code, out, err = run(capsys, "reproduce", "remark8", "--outdir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "remark8_summary.json" in err
+
     def test_unknown_experiment_exits_2(self, capsys):
         code, _, _ = run(capsys, "reproduce", "fig9")
         assert code == 2
@@ -350,6 +363,27 @@ class TestOrder:
                          "--levels", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("tmax, dt0, levels", [
+        ("1", "5e-324", "1"),
+        ("1e300", "1e-10", "1"),
+        (repr(2.0**-1064), repr(2.0**-1064), "12"),  # level 11 halves dt to 0.0
+    ], ids=["dt0-subnormal", "steps-overflow", "dt-underflows-to-0"])
+    def test_step_count_that_is_not_finite_exits_2(self, capsys, tmax, dt0, levels):
+        """A level whose ``tmax / dt`` is not finite is a usage error, not a traceback."""
+        code, out, err = run(capsys, "order", "--model", "builtin:paper-2x2", "--scheme", "geco1",
+                             "--tmax", tmax, "--dt0", dt0, "--levels", levels)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dt ") and err.count("\n") == 1
+
+    def test_zero_error_has_no_order(self, capsys):
+        """An error of exactly 0 leaves the order cell empty instead of dividing by it."""
+        tiny = repr(2.0**-1064)
+        code, out, _ = run(capsys, "order", "--model", "builtin:paper-2x2", "--scheme", "geco1",
+                           "--tmax", tiny, "--dt0", tiny, "--levels", "2")
+        assert code == 0
+        assert [line.split(",")[1:] for line in out.splitlines()[1:]] == [["0", ""], ["0", ""]]
+
     def test_overflowed_reference_exits_3(self, capsys, tmp_path):
         """A finite y0 whose exact flow overflows stops ``order`` instead of printing inf rows."""
         path = tmp_path / "model.txt"
@@ -374,8 +408,9 @@ class TestOrder:
      "closed-form Jacobian is not finite"),
 ], ids=["integrate-flow", "order-reference", "stability-heun-step", "stability-geco2-jacobian",
         "stability-gbbks2-jacobian"])
+@pytest.mark.filterwarnings("error")
 def test_overflow_exits_3_with_one_line_and_no_warning(capsys, argv, message):
-    """Overflow that posinv reports is one stderr line; a numpy warning would fail the test."""
+    """Overflow that posinv reports is one stderr line; a warning of any category fails the test."""
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == f"numerical failure: {message}\n"

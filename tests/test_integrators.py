@@ -221,13 +221,6 @@ def all_normal_tau_inputs():
         yield triples, 1.0 if rng.random() < 0.5 else rng.uniform(0.4, 3.0)
 
 
-def exact_g(factors, r, tau):
-    """G(tau) at 60 digits, with the floats taken exactly."""
-    with mp.workdps(60):
-        prod = mp.fprod((mp.mpf(c) + mp.mpf(d) * mp.mpf(tau)) / mp.mpf(s) for c, d, s in factors)
-        return prod ** mp.mpf(r) - mp.mpf(tau)
-
-
 def rescaled(c, d, s):
     """The triple times 2^k that puts its largest entry in [2^1020, 2^1021).
 
@@ -635,7 +628,7 @@ class TestSolveTau:
         if abs(tau - root) > max(1e-14 * root, 2.0**-1073):
             up = math.nextafter(tau, math.inf)
             assert not all(ci + di * up > 0.0 for ci, di in zip(c, d))
-            assert exact_g(factors, 1.0, tau) > 0
+            assert oracle.exact_g(factors, 1.0, tau) > 0
 
     def test_positive_tau_or_solver_error_on_subnormal_data(self):
         """The floor rule: ``SolverError`` exactly when some c + d*2^-1074 is not positive.
@@ -1683,8 +1676,10 @@ def test_ab_timing_names_a_cli_operation_that_exits_non_zero(monkeypatch, tmp_pa
     monkeypatch.setattr(package.cli, "main", lambda argv: 3 if "geco2" in argv else 0)
     ops = ab_timing.cli_ops(package, workloads, str(tmp_path / "scratch"), "new")
     digests, failing, _ = ab_timing.outputs(ops)
-    assert len(digests) == 19
-    assert failing == ["reproduce/stiff K=1e+06 geco2 dt=1e12 (exit 3)"]
+    assert len(digests) == 38
+    assert failing == ["reproduce/stiff K=1e+06 geco2 dt=1e12 (exit 3)",
+                       *(f"reproduce/stability {model} geco2 (exit 3)"
+                         for model in ("paper-2x2", "paper-5x5", "paper-stiff?K=10"))]
 
 
 def test_solve_report_counts_only_a_solve_farther_from_the_root_as_worse(monkeypatch):
@@ -1708,18 +1703,17 @@ def test_solve_report_counts_only_a_solve_farther_from_the_root_as_worse(monkeyp
     assert [line.endswith("WORSE") for line in lines if line.startswith("  call ")] == [True, False]
 
 
-def test_solve_classes_take_the_sign_of_g_exactly(monkeypatch):
+def test_solve_classes_take_the_sign_of_g_exactly():
     """The sign of G that classifies a solve, at 60 digits, is that of exact fractions.
 
     The taus straddle the root of a subnormal factor, where G's float value
     has no correct digit.
     """
-    ab_timing = load_script("ab_timing", monkeypatch)
     factors = [(3e-310, -1e-3, 1.0), (0.5, -0.25, 0.7)]
-    near = float(ab_timing.product_term_root([3e-310, 0.5], [-1e-3, -0.25], [1.0, 0.7], 1.0))
+    near = float(oracle.product_term_root([3e-310, 0.5], [-1e-3, -0.25], [1.0, 0.7], 1.0))
     signs = []
     for tau in (0.0, math.ulp(0.0), math.nextafter(near, 0.0), near, math.nextafter(near, 1.0), 0.5):
         prod = math.prod((Fraction(c) + Fraction(d) * Fraction(tau)) / Fraction(s) for c, d, s in factors)
         signs.append(prod - Fraction(tau) > 0)
-        assert (ab_timing.exact_g(factors, 1.0, tau) > 0) == signs[-1]
+        assert (oracle.exact_g(factors, 1.0, tau) > 0) == signs[-1]
     assert True in signs and False in signs
