@@ -8,38 +8,29 @@ next to this script) into sibling temporary directories as the packages
 ``posinv_base`` and ``posinv_new`` and loads both in this process; posinv
 imports itself only relatively, so a copy loads under any name, and a copy
 that holds a module or object of an installed ``posinv`` is refused.  Each
-side builds its operations from its own package:
+side builds its 88 operations from its own package:
 
-* ``stiff-sweep``: the 44 ``integrate`` runs of perfbench's ``StiffSweep``
+* ``stiff-sweep`` (50 operations): the 44 ``integrate`` runs of perfbench's ``StiffSweep``
   at seed 0 and the six ``random:16`` runs of seed 7919 (its other runs
   are the seed-0 runs again), ``perfbench/workloads.py`` loaded against
   that side;
-* ``reproduce``: ``cli.main`` on ``reproduce ID --outdir DIR`` for each
+* ``reproduce`` (38 operations): ``cli.main`` on ``reproduce ID --outdir DIR`` for each
   experiment id, on the README's ``integrate`` command of perfbench's
   ``Reproduce``, on each command of ``INTEGRATE_COMMANDS`` and on each of
   ``STABILITY_COMMANDS``: ``stability`` on ``paper-2x2``, ``paper-5x5`` and
   ``paper-stiff?K=10`` under each of the six schemes, and on ``random:4``
-  under euler with ``--seed 7`` after the subcommand;
-* ``kernels``: each ``<scheme>_step`` function called on the first 20
-  states of its own 20-step trajectory, 20 sweeps, on
-  ``paper-stiff?K=1000`` (dt 1), ``paper-5x5`` (dt 0.1) and
-  ``random_conservative_system(0, N)`` from all ones for N = 16 and 64
-  (dt 0.01).
+  under euler with ``--seed 7`` after the subcommand.
 
 Each operation runs once per side untimed, and its output bytes are
 digested: a run's state, defect and minimum arrays (or its exception); a
 CLI command's exit code, its stdout and stderr (with its directory's path
-replaced) and the files it writes; a kernel's states, taus and aux values.
+replaced) and the files it writes.
 The base side's pass also records every ``integrators._newton_tau`` call
 per group; the recorder is gone before anything is timed.  The recorded
 calls are solved again on both packages, and for each group the script
 reports:
 
-* the calls, and how many return a bit-identical tau on both trees, also
-  split into calls whose entries are all normal floats, calls where the
-  base tree returned a positivity boundary below the root (the next float
-  up would make a float factor c + d*tau nonpositive, and the exact G is
-  still positive there) and the rest;
+* the calls, and how many return a bit-identical tau on both trees;
 * evaluations of G per call (every call of ``_evaluate``, also the one that
   tests the positivity boundary), and the calls decided without the Newton
   loop (no call of ``_newton_root``), on each tree;
@@ -55,12 +46,12 @@ base minima: below 1 the new tree is faster.  The method follows Mytkowicz
 et al., "Producing wrong data without doing anything obviously wrong!"
 (ASPLOS 2009) and Kalibera and Jones, "Rigorous benchmarking in reasonable
 time" (ISMM 2013): one process and one layout for both trees, interleaved
-repeats, repetition at each level.
+repeats, repetition at each level.  CI passes ``--reps 1 --repeats 1``:
+it reads no ratio, so each operation is timed once per side.
 
-Prints each repetition's ratios, each group's median ratio and range, the
-best microseconds per kernel call on each side, every operation whose bytes
-differ, every CLI operation that exits non-zero on SRC, the solve figures,
-and last a JSON line with the same figures.  Exits 1 when some operation's
+Prints each repetition's ratios, each group's median ratio and range, every
+operation whose bytes differ, every CLI operation that exits non-zero on
+SRC, the solve figures, and last a JSON line with the same figures.  Exits 1 when some operation's
 bytes differ, a CLI operation exits non-zero on SRC, or a differing solve
 is farther from the root on SRC than on BASE_SRC or leaves a float factor
 nonpositive where BASE_SRC did not.  It also exits 1, naming the function,
@@ -92,13 +83,11 @@ import time
 import types
 from pathlib import Path
 
-import numpy as np
-
-from gen_oracle_values import exact_g, product_term_root
+from gen_oracle_values import product_term_root
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "new")
-GROUPS = ("stiff-sweep", "reproduce", "kernels")
+GROUPS = ("stiff-sweep", "reproduce")
 SUBMODULES = ("errors", "linalg", "pds", "integrators", "stability", "experiments", "cli")
 #: Seeds of the ``StiffSweep`` runs; a later seed's run that an earlier seed has (same scheme, label, dt) is left out.
 SEEDS = (0, 7919)
@@ -120,19 +109,8 @@ STABILITY_COMMANDS = {
        for scheme in ("euler", "heun", "geco1", "geco2", "gbbks1", "gbbks2")},
     "stability random:4 euler --seed 7": ["stability", "--model", "random:4", "--scheme", "euler", "--seed", "7"],
 }
-#: (label, builtin address or random dimension, dt) of the kernel operations.
-KERNEL_CASES = (
-    ("paper-stiff?K=1000", "builtin:paper-stiff?K=1000", 1.0),
-    ("paper-5x5", "builtin:paper-5x5", 0.1),
-    ("random:16", 16, 0.01),
-    ("random:64", 64, 0.01),
-)
-KERNEL_STATES = 20
-KERNEL_SWEEPS = 20
 #: The functions whose calls a replay counts: the G evaluator and the Newton loop.
 EVALUATOR, NEWTON_LOOP = "_evaluate", "_newton_root"
-#: Classes of a recorded solve, by its factors and the base tree's tau.
-CLASSES = ("all-normal", "base at boundary below root", "other")
 
 
 def load_package(src: str, name: str, parent: Path):
@@ -243,37 +221,6 @@ def cli_ops(package, workloads, scratch: str, side: str) -> dict:
     return ops
 
 
-def kernel_ops(package) -> dict:
-    """One operation per model and scheme: KERNEL_SWEEPS sweeps of ``<scheme>_step`` over its states."""
-    integrators, ops = package.integrators, {}
-    for label, address, dt in KERNEL_CASES:
-        if isinstance(address, int):
-            model, y0 = package.stability.random_conservative_system(0, address), np.ones(address)
-        else:
-            doc = package.pds.resolve_builtin(address)
-            model, y0 = doc.build(), doc.y0
-        for name in integrators.SCHEME_IDS:
-            spec = integrators.make_scheme(name)
-            kernel = getattr(integrators, f"{name}_step")
-            states = integrators.integrate(model, spec, y0, dt, KERNEL_STATES).states[:KERNEL_STATES]
-
-            def op(digest=False, kernel=kernel, model=model, spec=spec, states=states, dt=dt):
-                sha = hashlib.sha256()
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    if digest:
-                        for y in states:
-                            y_next, tau, aux = kernel(model, y, dt, spec)
-                            sha.update(y_next.tobytes() + repr((float(tau).hex(), sorted(aux.items()))).encode())
-                        return sha.hexdigest(), None
-                    for _ in range(KERNEL_SWEEPS):
-                        for y in states:
-                            kernel(model, y, dt, spec)
-                return None
-
-            ops[f"kernels/{label} {name}"] = op
-    return ops
-
-
 def build_ops(package, scratch: str, side: str, groups) -> dict:
     workloads = load_workloads(package)
     ops = {}
@@ -281,8 +228,6 @@ def build_ops(package, scratch: str, side: str, groups) -> dict:
         ops.update(stiff_ops(package, workloads, scratch))
     if "reproduce" in groups:
         ops.update(cli_ops(package, workloads, scratch, side))
-    if "kernels" in groups:
-        ops.update(kernel_ops(package))
     return ops
 
 
@@ -363,16 +308,6 @@ def keeps_positive(factors, tau) -> bool:
     return isinstance(tau, float) and all(c + d * tau > 0.0 for c, d, _ in factors)
 
 
-def classify(factors, r, tau) -> str:
-    """The class of a solve whose base tau is ``tau``: all-normal entries, a boundary below the root, or other."""
-    if all(abs(v) >= 2.0**-1022 for triple in factors for v in triple):
-        return CLASSES[0]
-    up = math.nextafter(tau, math.inf) if isinstance(tau, float) else tau
-    if keeps_positive(factors, tau) and not keeps_positive(factors, up) and exact_g(factors, r, tau) > 0:
-        return CLASSES[1]
-    return CLASSES[2]
-
-
 def differing(factors, r, taus: list) -> dict:
     """A solve whose (base, new) ``taus`` differ: each one's distance from the root, its positivity, and the verdict.
 
@@ -399,22 +334,16 @@ def solve_report(traffic: dict, runs: list[dict]) -> tuple[dict, list[str]]:
         base, new = (run[group] for run in runs)
         n = len(calls)
         same = [base["tau"][i] == new["tau"][i] for i in range(n)]
-        label = [classify(factors, r, tau) for (factors, r), tau in zip(calls, base["tau"])]
-        classes = {name: {"calls": label.count(name),
-                          "identical": sum(equal for equal, of in zip(same, label) if of == name)}
-                   for name in CLASSES}
         sides = {side: {"evals_per_call": sum(run["evals"]) / max(n, 1), "without_newton": run["loops"].count(0)}
                  for side, run in zip(SIDES, (base, new))}
         diffs = {i: differing(*calls[i], [base["tau"][i], new["tau"][i]]) for i in range(n) if not same[i]}
-        figures[group] = {"calls": n, "identical": sum(same), "classes": classes, **sides,
-                          "differing": {i: {"class": label[i], **d} for i, d in diffs.items()},
+        figures[group] = {"calls": n, "identical": sum(same), **sides, "differing": diffs,
                           "worse": sum(d["worse"] for d in diffs.values())}
         lines.append(f"\n{group}: {n} calls, {sum(same)} bit-identical")
-        lines += [f"  {name}: {v['calls']} calls, {v['identical']} bit-identical" for name, v in classes.items()]
         lines += [f"  {side}: {v['evals_per_call']:.2f} G evaluations per call, "
                   f"{v['without_newton']} calls decided without the Newton loop" for side, v in sides.items()]
         for i, d in diffs.items():
-            lines.append(f"  call {i} ({label[i]}): m={d['m']} tau base {d['tau'][0]!r} new {d['tau'][1]!r}; "
+            lines.append(f"  call {i}: m={d['m']} tau base {d['tau'][0]!r} new {d['tau'][1]!r}; "
                          f"from root base {d['from_root'][0]:.2e} new {d['from_root'][1]:.2e}; positive base "
                          f"{d['positive'][0]} new {d['positive'][1]}"
                          + (f"; oracle failed: {d['oracle_error']}" if d["oracle_error"] else "")
@@ -487,12 +416,6 @@ def main(argv: list[str]) -> int:
     for group in groups:
         s = summary[group]
         print(f"{group:12s} new/base median {s['median']:.3f}, range [{s['min']:.3f}, {s['max']:.3f}]")
-    if "kernels" in groups:
-        calls = KERNEL_SWEEPS * KERNEL_STATES
-        print(f"\n{'kernel':28s} {'base us':>8s} {'new us':>8s} {'ratio':>6s}")
-        for key in (k for k in ops["base"] if k.startswith("kernels/")):
-            base, new = (min(best[side][key] for best in results) / calls * 1e6 for side in SIDES)
-            print(f"{key[len('kernels/'):]:28s} {base:8.2f} {new:8.2f} {new / base:6.2f}")
     print(f"\n{len(differ)} of {len(digests['base'])} operations differ in bytes")
     for key in differ:
         print(f"  differs: {key}")

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import experiments, stability
-from .errors import ModelError, NumericsError, PosinvError
+from .errors import ModelError, PosinvError
 from .integrators import SCHEME_IDS, integrate, make_scheme
 from .pds import LinearPds, load_model, steady_state_for
 
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
             raise  # names no path, so it is no --out or --outdir that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, PosinvError) as exc:
+    except PosinvError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

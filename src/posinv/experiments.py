@@ -52,14 +52,12 @@ def write_rows(handle, header: list[str], rows) -> None:
     """Write a header line and one line per row to an open text handle.
 
     Comma-delimited and LF-terminated; numbers print as ``%.17g`` (integers
-    exactly, floats to 17 significant digits), strings verbatim.  A 2-D float
-    array or a :class:`TrajectoryRows` is written in blocks of rows, each
-    formatted by one template.
+    exactly, floats to 17 significant digits), strings verbatim.  A
+    :class:`TrajectoryRows` is written in blocks of rows, each formatted by
+    one template.
     """
     handle.write(",".join(header) + "\n")
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        rows = [rows[start : start + _ROW_BLOCK] for start in range(0, len(rows), _ROW_BLOCK)]
-    elif not isinstance(rows, TrajectoryRows):
+    if not isinstance(rows, TrajectoryRows):
         for row in rows:
             if len(row) != len(header):
                 raise ValueError("row width does not match header")

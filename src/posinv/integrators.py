@@ -354,8 +354,13 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme {self.id!r}; known: {SCHEME_IDS}")
         if self.id == "gbbks2":
             _check_alpha(self.alpha)
-        if self.id in ("gbbks1", "gbbks2") and self.strategy is None:
-            raise ValueError(f"{self.id} requires a parameter strategy")
+        elif self.alpha is not None:
+            raise ValueError(f"scheme {self.id!r} does not take alpha")
+        if self.id in ("gbbks1", "gbbks2"):
+            if self.strategy is None:
+                raise ValueError(f"{self.id} requires a parameter strategy")
+        elif self.strategy is not None:
+            raise ValueError(f"scheme {self.id!r} does not take strategy")
 
 
 def _check_alpha(alpha: float | None) -> None:
@@ -366,13 +371,11 @@ def _check_alpha(alpha: float | None) -> None:
 def make_scheme(name: str, alpha: float | None = None) -> SchemeSpec:
     """Scheme with the standard preset strategy; alpha applies to gbbks2 only."""
     if name == "gbbks1":
-        return SchemeSpec("gbbks1", strategy=GbbksStrategy.bbks1())
+        return SchemeSpec("gbbks1", alpha=alpha, strategy=GbbksStrategy.bbks1())
     if name == "gbbks2":
         a = 1.0 if alpha is None else float(alpha)
         return SchemeSpec("gbbks2", alpha=a, strategy=GbbksStrategy.bbks2(a))
-    if alpha is not None:
-        raise ValueError(f"scheme {name!r} does not take alpha")
-    return SchemeSpec(name)
+    return SchemeSpec(name, alpha=alpha)
 
 
 def _check_result(floats: list) -> None:

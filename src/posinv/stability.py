@@ -99,19 +99,11 @@ def critical_step(model: LinearPds, scheme) -> CriticalStep:
     def radius(dt: float) -> float:
         return max(abs(stability_value(scheme, dt * lam, dt * trace)) for lam in lams)
 
-    dt = 1e-6
-    if radius(dt) >= 1.0:
-        lo, hi = 0.0, dt
-    else:
-        lo = None
-        while dt * scale < Z_SEARCH_CAP:
-            nxt = 2.0 * dt
-            if radius(nxt) >= 1.0:
-                lo, hi = dt, nxt
-                break
-            dt = nxt
-        if lo is None:
+    lo, hi = 0.0, 1e-6
+    while radius(hi) < 1.0:
+        if hi * scale >= Z_SEARCH_CAP:
             return CriticalStep(None, True, None, None)
+        lo, hi = hi, 2.0 * hi
 
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)

@@ -81,9 +81,10 @@ class TestIntegrate:
         assert "gbbks2 requires a finite alpha >= 1/2" in err
 
     def test_alpha_on_wrong_scheme_exits_2(self, capsys):
-        code, _, _ = run(capsys, "integrate", "--model", "builtin:paper-2x2",
-                         "--scheme", "geco1", "--alpha", "1.0", "--dt", "1", "--steps", "1")
+        code, _, err = run(capsys, "integrate", "--model", "builtin:paper-2x2",
+                           "--scheme", "geco1", "--alpha", "1.0", "--dt", "1", "--steps", "1")
         assert code == 2
+        assert "scheme 'geco1' does not take alpha" in err
 
     def test_unknown_model_exits_2(self, capsys):
         code, _, err = run(capsys, "integrate", "--model", "builtin:paper-9x9",

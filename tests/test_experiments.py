@@ -169,6 +169,7 @@ def whole_table(model, traj, start, y_star=None):
 
 
 def written(header, rows):
+    """``rows`` as :func:`experiments.write_rows` writes them; a whole float table takes its per-row path."""
     out = io.StringIO()
     experiments.write_rows(out, header, rows)
     return out.getvalue()

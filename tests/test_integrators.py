@@ -49,13 +49,7 @@ from posinv import (
 from posinv.errors import IntegrationError, ModelError, NumericsError, SolverError
 from posinv.integrators import SCHEME_IDS
 
-from test_linalg import FIVE, two_by_two
-
-_ORACLE_SPEC = importlib.util.spec_from_file_location(
-    "gen_oracle_values", Path(__file__).resolve().parent.parent / "scripts" / "gen_oracle_values.py"
-)
-oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
-_ORACLE_SPEC.loader.exec_module(oracle)
+from test_linalg import FIVE, oracle, two_by_two
 
 PHI_2 = 0.43233235838169365405
 PHI_LN2 = 0.72134752044448170368
@@ -1244,9 +1238,25 @@ class TestSchemeSpec:
         with pytest.raises(ValueError, match=r"^gbbks2 requires a finite alpha >= 1/2$"):
             GbbksStrategy.bbks2(alpha)
 
-    def test_alpha_rejected_elsewhere(self):
-        with pytest.raises(ValueError):
-            make_scheme("geco1", alpha=1.0)
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: make_scheme("geco1", alpha=1.0), "scheme 'geco1' does not take alpha",
+                     id="make_scheme-geco1-alpha"),
+        pytest.param(lambda: make_scheme("gbbks1", alpha=1.0), "scheme 'gbbks1' does not take alpha",
+                     id="make_scheme-gbbks1-alpha"),
+        pytest.param(lambda: SchemeSpec("geco1", alpha=3.0), "scheme 'geco1' does not take alpha",
+                     id="geco1-alpha"),
+        pytest.param(lambda: SchemeSpec("gbbks1", alpha=7.0, strategy=GbbksStrategy.bbks1()),
+                     "scheme 'gbbks1' does not take alpha", id="gbbks1-alpha"),
+        pytest.param(lambda: SchemeSpec("euler", strategy=GbbksStrategy.bbks1()),
+                     "scheme 'euler' does not take strategy", id="euler-strategy"),
+        pytest.param(lambda: SchemeSpec("geco2", strategy=GbbksStrategy.bbks2(1.0)),
+                     "scheme 'geco2' does not take strategy", id="geco2-strategy"),
+    ])
+    def test_alpha_rejected_elsewhere(self, make, message):
+        """alpha belongs to gbbks2 alone and a strategy to gbbks1 and gbbks2; another scheme refuses either."""
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -1703,8 +1713,8 @@ def test_solve_report_counts_only_a_solve_farther_from_the_root_as_worse(monkeyp
     assert [line.endswith("WORSE") for line in lines if line.startswith("  call ")] == [True, False]
 
 
-def test_solve_classes_take_the_sign_of_g_exactly():
-    """The sign of G that classifies a solve, at 60 digits, is that of exact fractions.
+def test_exact_g_takes_the_sign_of_exact_fractions():
+    """The oracle's G at 60 digits, which ``TestSolveTau`` reads, has the sign of exact fractions.
 
     The taus straddle the root of a subnormal factor, where G's float value
     has no correct digit.

@@ -6,8 +6,10 @@ and from the reference closed-form solution of the stiff 3x3 problem,
 evaluated in extended precision and frozen below.
 """
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +22,13 @@ from posinv.errors import ModelError, NumericsError
 from posinv.pds import LinearPds
 
 RNG = np.random.default_rng(42)
+
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "gen_oracle_values", Path(__file__).resolve().parent.parent / "scripts" / "gen_oracle_values.py"
+)
+#: ``scripts/gen_oracle_values.py``, the one copy of the exact and 40-digit oracles.
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
 
 
 def two_by_two(a, b, c):
@@ -44,33 +53,6 @@ STIFF_K10 = np.array([[-10.0, 0.0, 0.0], [10.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
 STIFF_K10_T1 = np.array(
     [4.4491931167235154505e-5, 0.40420919487487691211, 0.59574631319395585273]
 )
-
-
-def rational_kernel_5x5():
-    """Exact rational Gaussian elimination oracle for the integer 5x5 kernel."""
-    a = [[Fraction(int(v)) for v in row] for row in FIVE]
-    n = 5
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, n) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        piv_cols.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in piv_cols][0]
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for i, c in enumerate(piv_cols):
-        v[c] = -a[i][free]
-    return v
 
 
 class TestEigenvalues:
@@ -123,7 +105,7 @@ class TestNullspace:
 
     def test_five_by_five_against_rational_oracle(self):
         """Normalized to total mass 13 the kernel vector is integer-valued."""
-        exact = rational_kernel_5x5()
+        exact = oracle.rational_kernel(FIVE)
         mass = sum(exact, Fraction(0))
         want = np.array([float(13 * x / mass) for x in exact])
         (v,) = linalg.nullspace(FIVE)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from posinv import pds
 from posinv.errors import ModelError, NumericsError
 
-from test_linalg import FIVE, rational_kernel_5x5, two_by_two
+from test_linalg import FIVE, oracle, two_by_two
 
 
 def document_text(matrix, y0) -> str:
@@ -54,7 +54,7 @@ class TestSteadyState:
         )
 
     def test_five_by_five_matches_rational_oracle(self):
-        exact = rational_kernel_5x5()
+        exact = oracle.rational_kernel(FIVE)
         mass = sum(exact, Fraction(0))
         want = np.array([float(13 * x / mass) for x in exact])
         model = pds.LinearPds.from_matrix(FIVE)
