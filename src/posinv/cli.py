@@ -67,7 +67,7 @@ def cmd_integrate(args) -> int:
     model, y0 = _resolve_model(args.model, args.seed)
     scheme = make_scheme(args.scheme, args.alpha)
     traj = integrate(model, scheme, y0, dt=args.dt, n_steps=args.steps)
-    header = experiments.state_header(model.dimension, False)[:-1] + ["err"]
+    header = experiments.state_header(model.dimension, False, flow_error="err")
     _emit(args.out, header, experiments.TrajectoryRows(model, traj, y0))
     return EXIT_OK
 

@@ -164,20 +164,19 @@ def _flow_blocks(prop, start, y_inf, n_steps: int) -> Iterator[np.ndarray]:
 
 
 class TrajectoryRows:
-    """CSV table: step, t, state, invariant defect, errors vs flow and steady state.
+    """CSV table: step, t, state, invariant defect, error vs the flow, ``err_steady``.
 
     One row per state; ``len`` is the row count.  Iterating forms the table a
     block of ``_ROW_BLOCK`` rows at a time, each with its rows of the
     :func:`reference_flow` started at ``start``, so a table takes the
-    trajectory's own arrays plus one block.  The flow is stepped once, so the
-    table can be iterated once.  With ``y_star`` the last column is the error
-    vs the steady state, and a full iteration leaves that column, as a 1-D
-    array, in ``err_steady``.
+    trajectory's own arrays plus one block; the flow is stepped once, so the
+    table can be iterated once.  ``err_steady`` has one entry per state.
     """
 
-    def __init__(self, model, traj, start, y_star=None):
-        self.traj, self.y_star = traj, y_star
-        self.err_steady = None
+    def __init__(self, model, traj, start, *, err_steady=None):
+        if err_steady is not None and np.shape(err_steady) != (len(traj),):
+            raise ValueError("err_steady must hold one entry per state")
+        self.traj, self.err_steady = traj, err_steady
         self._flow = reference_flow(model, start, traj.dt, len(traj) - 1)
 
     def __len__(self) -> int:
@@ -188,23 +187,18 @@ class TrajectoryRows:
         if flow_blocks is None:
             raise RuntimeError("trajectory rows can be iterated once")
         traj = self.traj
-        steady = None if self.y_star is None else np.empty(len(traj))
-        first = 0
-        for flow in flow_blocks:
+        for first, flow in zip(range(0, len(traj), _ROW_BLOCK), flow_blocks):
             stop = first + len(flow)
             states, steps = traj.states[first:stop], np.arange(first, stop)
             columns = [steps, steps * traj.dt, states, traj.invariant_defect[first:stop],
                        np.max(np.abs(states - flow), axis=1)]
-            if steady is not None:
-                steady[first:stop] = np.max(np.abs(states - self.y_star), axis=1)
-                columns.append(steady[first:stop])
+            if self.err_steady is not None:
+                columns.append(self.err_steady[first:stop])
             yield np.column_stack(columns)
-            first = stop
-        self.err_steady = steady
 
 
-def state_header(dim: int, with_steady: bool) -> list[str]:
-    header = ["step", "t"] + [f"y_{i + 1}" for i in range(dim)] + ["inv_defect", "err_ref"]
+def state_header(dim: int, with_steady: bool, flow_error: str = "err_ref") -> list[str]:
+    header = ["step", "t"] + [f"y_{i + 1}" for i in range(dim)] + ["inv_defect", flow_error]
     if with_steady:
         header.append("err_steady")
     return header
@@ -216,10 +210,11 @@ def run_fig2(outdir: str) -> tuple[list[str], list[Check]]:
     model = doc.build()
     y_star = steady_state_for(model, doc.y0)
     traj = integrate(model, make_scheme("geco1"), doc.y0, dt=1.0, n_steps=200)
+    errors = np.max(np.abs(traj.states - y_star), axis=1)
     path = os.path.join(outdir, "fig2.csv")
-    write_csv(path, state_header(5, True), TrajectoryRows(model, traj, doc.y0, y_star))
+    write_csv(path, state_header(5, True), TrajectoryRows(model, traj, doc.y0, err_steady=errors))
 
-    final_err = float(np.max(np.abs(traj.final - y_star)))
+    final_err = float(errors[-1])
     defect = float(traj.invariant_defect.max())
     lowest = float(traj.min_component.min())
     checks = [
@@ -264,10 +259,9 @@ def run_bifurcation(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
         steps = DIVERGENT_STEPS
 
     traj = integrate(model, scheme, start, dt=dt, n_steps=steps)
-    rows = TrajectoryRows(model, traj, start, y_star)
+    errors = np.max(np.abs(traj.states - y_star), axis=1)
     path = os.path.join(outdir, f"{exp_id}.csv")
-    write_csv(path, state_header(5, True), rows)
-    errors = rows.err_steady
+    write_csv(path, state_header(5, True), TrajectoryRows(model, traj, start, err_steady=errors))
 
     defect = float(traj.invariant_defect.max())
     checks = [Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12)]
@@ -298,16 +292,15 @@ def limit_crossing_time(grid_dt: float = 1e-4, horizon: float = 2.0) -> float:
 
 
 def crossing_time(times, diff, skip_before: float) -> float:
-    """First sign change of ``diff`` after ``skip_before``, linearly interpolated."""
-    for k in range(len(times) - 1):
-        if times[k] < skip_before:
-            continue
-        if diff[k] == 0.0:
-            return float(times[k])
-        if diff[k] * diff[k + 1] < 0.0:
-            frac = diff[k] / (diff[k] - diff[k + 1])
-            return float(times[k] + frac * (times[k + 1] - times[k]))
-    raise ValueError("no sign change found in the sampled window")
+    """First sign change of array ``diff`` from ``times >= skip_before``, linearly interpolated."""
+    found = ~(times[:-1] < skip_before) & ((diff[:-1] == 0.0) | (diff[:-1] * diff[1:] < 0.0))
+    if not found.any():
+        raise ValueError("no sign change found in the sampled window")
+    k = int(found.argmax())
+    if diff[k] == 0.0:
+        return float(times[k])
+    frac = diff[k] / (diff[k] - diff[k + 1])
+    return float(times[k] + frac * (times[k + 1] - times[k]))
 
 
 def geco1_stiff_crossing(K: float, dt: float, y0, n_steps: int) -> float:

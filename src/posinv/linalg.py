@@ -168,7 +168,10 @@ def validate_system(a) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     a = _as_square(a)
     if np.any(a - np.diag(np.diag(a)) < 0.0):
         raise ModelError("matrix is not Metzler")
-    norm = np.linalg.norm(a, np.inf)
+    with np.errstate(over="ignore"):
+        norm, norm_t = np.linalg.norm(a, np.inf), np.linalg.norm(a, 1)
+    if not np.isfinite([norm, norm_t]).all():  # nullspace's rank thresholds would be inf
+        raise ModelError("matrix norm overflows: a row or column sum of |A| is not finite")
     vals = eigenvalues(a)
     basis = nullspace(a)
     is_zero = np.abs(vals) <= RANK_TOL * max(norm, 1e-300)

@@ -193,6 +193,8 @@ def resolve_builtin(address: str) -> ModelDocument:
     # no form decoding, which would turn the '+' of K=1e+06 into a space
     for item in query.split("&") if query else ():
         key, _, value = item.partition("=")
+        if key in params:
+            raise ModelError(f"repeated parameter {key!r} in {address!r}")
         try:
             params[key] = float(value)
         except ValueError as exc:

@@ -136,7 +136,8 @@ def unconditional_certificate(model: LinearPds) -> Certificate:
     lams = model.nonzero_eigenvalues
     if lams.size == 0:
         raise NumericsError("certificate undefined: matrix has no nonzero eigenvalues")
-    m_value = float(np.min(2.0 * np.abs(lams.real) / np.abs(lams) ** 2))
+    # not 2|Re lambda| / |lambda|^2: the square overflows for |lambda| above about 1.3e154
+    m_value = float(np.min(np.abs(lams.real) / np.abs(lams) * (2.0 / np.abs(lams))))
     product = m_value * model.trace_s_minus
     return Certificate(
         m_value=m_value,

@@ -417,6 +417,23 @@ def test_overflow_exits_3_with_one_line_and_no_warning(capsys, argv, message):
     assert err == f"numerical failure: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--model", "builtin:paper-stiff?K=1e308", "--scheme", "geco1"],
+     "matrix norm overflows: a row or column sum of |A| is not finite"),
+    (["integrate", "--model", "builtin:paper-stiff?K=1e308", "--scheme", "geco1", "--dt", "0.1",
+      "--steps", "3"], "matrix norm overflows: a row or column sum of |A| is not finite"),
+    (["integrate", "--model", "builtin:paper-2x2?a=1&a=2", "--scheme", "geco1", "--dt", "0.1",
+      "--steps", "3"], "repeated parameter 'a' in 'builtin:paper-2x2?a=1&a=2'"),
+], ids=["stability-norm-overflow", "integrate-norm-overflow", "integrate-repeated-parameter"])
+@pytest.mark.filterwarnings("error")
+def test_model_error_exits_2_with_one_line_and_no_warning(capsys, argv, message):
+    """A model refused as it loads prints nothing on stdout and one stderr line."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 INTEGRATE_2X2 = ["integrate", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--steps", "1"]
 STABILITY_5X5 = ["stability", "--model", "builtin:paper-5x5", "--scheme", "geco2"]
 ORDER_2X2 = ["order", "--model", "builtin:paper-2x2", "--scheme", "geco1", "--levels", "2"]

@@ -118,6 +118,11 @@ def test_plain_propagator_when_no_steady_state(monkeypatch):
     assert len(rows) == 21 and rows[0][-1] == 0.0
 
 
+def steady_errors(traj, y_star):
+    """The error vs the steady state, one entry per state, as the recipes compute it."""
+    return np.max(np.abs(traj.states - y_star), axis=1)
+
+
 def test_zero_steps_give_the_start_row():
     doc = resolve_builtin("builtin:paper-5x5")
     model = doc.build()
@@ -127,9 +132,21 @@ def test_zero_steps_give_the_start_row():
 
     traj = integrate(model, make_scheme("geco1"), doc.y0, 0.1, 0)
     y_star = np.full(5, 2.6)
-    rows = whole(experiments.TrajectoryRows(model, traj, doc.y0, y_star))
+    rows = whole(experiments.TrajectoryRows(model, traj, doc.y0, err_steady=steady_errors(traj, y_star)))
     start_row = [0, 0.0, *doc.y0.tolist(), 0.0, 0.0, float(np.max(np.abs(doc.y0 - y_star)))]
     assert rows.tolist() == [start_row]
+
+
+def test_steady_state_errors_are_a_keyword_series_of_one_entry_per_state():
+    """A steady state where the error series belongs is refused, by name and by length."""
+    doc = resolve_builtin("builtin:paper-5x5")
+    model = doc.build()
+    traj = integrate(model, make_scheme("geco1"), doc.y0, 0.1, 0)
+    y_star = np.full(5, 2.6)
+    with pytest.raises(TypeError):
+        experiments.TrajectoryRows(model, traj, doc.y0, y_star)
+    with pytest.raises(ValueError, match="one entry per state"):
+        experiments.TrajectoryRows(model, traj, doc.y0, err_steady=y_star)
 
 
 def test_row_columns_match_per_state_evaluation():
@@ -138,7 +155,7 @@ def test_row_columns_match_per_state_evaluation():
     model = doc.build()
     y_star = np.full(5, 2.6)
     traj = integrate(model, make_scheme("geco2"), doc.y0, 0.3, 40)
-    rows = whole(experiments.TrajectoryRows(model, traj, doc.y0, y_star))
+    rows = whole(experiments.TrajectoryRows(model, traj, doc.y0, err_steady=steady_errors(traj, y_star)))
     flow = whole(experiments.reference_flow(model, doc.y0, 0.3, 40))
     for n, (row, y) in enumerate(zip(rows, traj.states)):
         assert row[:7].tolist() == [n, n * 0.3, *y.tolist()]
@@ -182,7 +199,7 @@ def no_steady_state(model, y0):
 @pytest.mark.parametrize("steady", [True, False], ids=["steady-state", "plain-propagator"])
 @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 1000])
 def test_streamed_table_has_the_bytes_of_the_whole_table(monkeypatch, capsys, tmp_path, steps, steady):
-    """Around the block edges, file, stdout and ``err_steady`` carry the whole table's bits."""
+    """Around the block edges, file, stdout and the ``err_steady`` column carry the whole table's bits."""
     if not steady:
         monkeypatch.setattr(experiments, "steady_state_for", no_steady_state)
     doc = resolve_builtin("builtin:paper-5x5")
@@ -198,11 +215,13 @@ def test_streamed_table_has_the_bytes_of_the_whole_table(monkeypatch, capsys, tm
 
     y_star = np.full(5, 2.6)
     header = experiments.state_header(5, True)
-    rows = experiments.TrajectoryRows(model, traj, doc.y0, y_star)
+    errors = steady_errors(traj, y_star)
+    rows = experiments.TrajectoryRows(model, traj, doc.y0, err_steady=errors)
     experiments.write_csv(str(tmp_path / "steady.csv"), header, rows)
     table = whole_table(model, traj, doc.y0, y_star)
     assert (tmp_path / "steady.csv").read_text(encoding="utf-8") == written(header, table)
-    assert rows.err_steady.tobytes() == table[:, -1].tobytes()
+    last = np.loadtxt(tmp_path / "steady.csv", delimiter=",", skiprows=1, ndmin=2)[:, -1]
+    assert last.tobytes() == errors.tobytes()
 
 
 def test_export_memory_does_not_grow_with_the_run(tmp_path):
@@ -265,3 +284,56 @@ def test_float_table_blocks_match_the_per_cell_rule(tmp_path):
     assert blocks.read_bytes().count(b"\n") == len(table) + 1
     with pytest.raises(ValueError, match="row width"):
         experiments.write_csv(str(blocks), header, table[:, :3])
+
+
+def crossing_by_scan(times, diff, skip_before):
+    """The element-by-element scan ``crossing_time`` had, kept as its oracle."""
+    for k in range(len(times) - 1):
+        if times[k] < skip_before:
+            continue
+        if diff[k] == 0.0:
+            return float(times[k])
+        if diff[k] * diff[k + 1] < 0.0:
+            frac = diff[k] / (diff[k] - diff[k + 1])
+            return float(times[k] + frac * (times[k + 1] - times[k]))
+    raise ValueError("no sign change found in the sampled window")
+
+
+def fig6_crossing_inputs():
+    """fig6's limit reference grid and its two geco1 runs, as ``run_fig6`` passes them."""
+    times = np.arange(0.0, 2.0 + 1e-4, 1e-4)
+    cases = {"limit": (times, 2.0 * 0.99 * np.exp(-times) - 1.0, 1e-4 / 2)}
+    for K in (10.0, 100.0):
+        doc = resolve_builtin(f"builtin:paper-stiff?K={K:g}")
+        traj = integrate(doc.build(), make_scheme("geco1"), doc.y0, dt=0.1, n_steps=1000)
+        cases[f"K{K:g}"] = (traj.times, traj.states[:, 1] - traj.states[:, 2], 0.1)
+    return cases
+
+
+def test_crossing_time_has_the_bits_of_the_scan():
+    """The vectorised search returns the scan's float, or raises where it raises."""
+    t = np.arange(6) * 0.5
+    cases = {
+        "exact zero": (t, np.array([1.0, 0.5, 0.0, -0.5, -1.0, -2.0]), 0.25),
+        "zero before skip_before": (t, np.array([0.0, 1.0, 2.0, -1.0, -2.0, -3.0]), 0.25),
+        "change at skip_before": (t, np.array([1.0, -1.0, 2.0, 3.0, 4.0, 5.0]), 0.5),
+        "zero at the last point": (t, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.0]), 0.0),
+        **fig6_crossing_inputs(),
+    }
+    rng = np.random.default_rng(7)
+    for i in range(20):
+        times = np.cumsum(rng.random(40))
+        diff = rng.integers(-1, 4, 40) * rng.random(40)  # exact zeros and long one-signed runs
+        cases[f"random {i}"] = (times, diff, times[rng.integers(40)])
+    for name, (times, diff, skip_before) in cases.items():
+        try:
+            want = crossing_by_scan(times, diff, skip_before)
+        except ValueError:
+            with pytest.raises(ValueError, match="no sign change"):
+                experiments.crossing_time(times, diff, skip_before)
+            continue
+        assert repr(experiments.crossing_time(times, diff, skip_before)) == repr(want), name
+    assert experiments.crossing_time(*cases["exact zero"]) == 1.0
+    assert experiments.crossing_time(*cases["change at skip_before"]) == 0.5 + (-1.0 / (-1.0 - 2.0)) * 0.5
+    with pytest.raises(ValueError, match="no sign change"):
+        experiments.crossing_time(*cases["zero at the last point"])

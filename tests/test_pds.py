@@ -36,6 +36,20 @@ class TestLinearPds:
         with pytest.raises(ModelError):
             pds.LinearPds.from_matrix(np.array([[0.0, -1.0], [0.0, -1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_matrix_whose_norm_overflows_is_rejected(self):
+        """A row or column sum of |A| that overflows would make every rank threshold infinite.
+
+        Such a threshold took all three rows of ``paper-stiff?K=1e308`` as invariants.
+        """
+        column_sum = pds.resolve_builtin("builtin:paper-stiff?K=1e308").matrix  # 2e308 in column 1
+        row_sum = np.array([[-1e308, 1e308], [0.0, 0.0]])
+        for a in (column_sum, row_sum):
+            with pytest.raises(ModelError, match="norm overflows"):
+                pds.LinearPds.from_matrix(a)
+        # its sums reach 1.6e308, which is finite
+        assert pds.resolve_builtin("builtin:paper-stiff?K=8e307").build().dimension == 3
+
     def test_holds_a_frozen_copy_of_the_matrix(self):
         """A later write to the caller's array does not reach the model, and the model's is read-only."""
         a = np.array([[-1.0, 2.0], [1.0, -2.0]])
@@ -218,6 +232,8 @@ class TestModelFiles:
             pds.resolve_builtin("builtin:paper-stiff?K=ten")
         with pytest.raises(ModelError):
             pds.resolve_builtin("builtin:paper-2x2?zeta=1")
+        with pytest.raises(ModelError, match="repeated parameter 'a'"):
+            pds.resolve_builtin("builtin:paper-2x2?a=1&a=2")
 
     def test_load_model_from_file(self, tmp_path):
         path = tmp_path / "model.txt"

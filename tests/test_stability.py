@@ -141,6 +141,15 @@ class TestCertificate:
         assert cert.m_value == pytest.approx(1.0, abs=1e-12)
         assert cert.product == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [300, 520, 900])
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_matrix_keeps_the_certificate(self, k):
+        """2^k*A has the certificate of A; 2|Re lambda| / |lambda|^2 overflowed from k = 512 on."""
+        cert = stability.unconditional_certificate(LinearPds.from_matrix(2.0**k * FIVE))
+        unscaled = stability.unconditional_certificate(MODEL_5X5)
+        assert cert.holds
+        assert cert.product == pytest.approx(unscaled.product, rel=1e-12)
+
     def test_single_decay_mode(self):
         model = LinearPds.from_matrix(np.array([[-3.0, 0.0], [0.0, 0.0]]))
         cert = stability.unconditional_certificate(model)
