@@ -427,21 +427,23 @@ def run_jacobians(outdir: str) -> tuple[list[str], list[Check]]:
 def observed_orders(model, scheme, y0, tmax: float, dts) -> list[tuple[float, float, float]]:
     """Rows of (dt, error at tmax, order vs previous row).
 
-    The order is nan on the first row and where either error is 0.  A ``dt``
-    that is not positive or leaves ``tmax / dt`` infinite is a ``ValueError``.
+    The order is nan on the first row and where either error is 0.  A bad ``dt`` (not
+    positive, no finite or whole ``tmax / dt``) is a ``ValueError`` raised before ``expm``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = expm(model.a, tmax) @ y0
-    if not np.all(np.isfinite(reference)):
-        raise NumericsError("matrix exponential overflowed")
-    out = []
-    prev_err = None
+    levels = []
     for dt in dts:
         if not (dt > 0.0 and math.isfinite(tmax / dt)):
             raise ValueError(f"dt {dt} gives no finite step count for tmax {tmax}")
         n_steps = round(tmax / dt)
         if abs(n_steps * dt - tmax) > 1e-12 * tmax:
             raise ValueError(f"dt {dt} does not divide tmax {tmax}")
+        levels.append((dt, n_steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = expm(model.a, tmax) @ y0
+    if not np.all(np.isfinite(reference)):
+        raise NumericsError("matrix exponential overflowed")
+    out, prev_err = [], None
+    for dt, n_steps in levels:
         traj = integrate(model, scheme, y0, dt=dt, n_steps=n_steps)
         err = float(np.max(np.abs(traj.final - reference)))
         order = math.log2(prev_err / err) if prev_err and err else math.nan

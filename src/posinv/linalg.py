@@ -55,11 +55,11 @@ def nullspace(a) -> list[np.ndarray]:
     Returns one vector per free column of the row-reduced matrix, each scaled
     to unit max-norm.  The same routine serves ker(A) and, applied to ``a.T``,
     the invariant rows ker(A^T).  Entries below ``RANK_TOL * ||A||_inf`` are
-    treated as zero, which suits well-separated desk-scale matrices.
+    treated as zero, with no absolute floor, so ``2^k*A`` has A's kernel.
     """
     a = _as_square(a)
     n = a.shape[0]
-    thresh = RANK_TOL * max(np.linalg.norm(a, np.inf), 1.0)
+    thresh = RANK_TOL * np.linalg.norm(a, np.inf)
 
     m = a.copy()
     pivot_cols: list[int] = []
@@ -161,9 +161,9 @@ def validate_system(a) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     The class: a Metzler matrix with a negative diagonal entry, whose zero
     eigenvalue has matching algebraic and geometric multiplicity k >= 1,
     whose spectrum lies in the closed left half-plane, and which has a
-    linear invariant.  Returns the invariant rows spanning ker(A^T), the
-    :func:`nullspace` basis of ker(A) and the eigenvalues above the rank
-    tolerance.
+    linear invariant.  Each test is relative to ``||A||_inf``, and a nonzero
+    eigenvalue must be a normal float.  Returns the invariant rows spanning
+    ker(A^T), the :func:`nullspace` basis of ker(A) and those eigenvalues.
     """
     a = _as_square(a)
     if np.any(a - np.diag(np.diag(a)) < 0.0):
@@ -174,11 +174,13 @@ def validate_system(a) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         raise ModelError("matrix norm overflows: a row or column sum of |A| is not finite")
     vals = eigenvalues(a)
     basis = nullspace(a)
-    is_zero = np.abs(vals) <= RANK_TOL * max(norm, 1e-300)
+    is_zero = np.abs(vals) <= RANK_TOL * norm
     nonzero = vals[~is_zero]
+    if np.any(np.abs(nonzero) < np.finfo(float).tiny):  # 1/|lambda| would overflow
+        raise ModelError("matrix is too small: a nonzero eigenvalue is subnormal")
     multiplicities_match = int(np.sum(is_zero)) == len(basis)
     # eigenvalues with tiny positive real part from roundoff still count as nonpositive
-    spectrum_nonpositive = bool(np.all(nonzero.real <= RANK_TOL * max(norm, 1.0)))
+    spectrum_nonpositive = bool(np.all(nonzero.real <= RANK_TOL * norm))
     proper_metzler = bool(np.any(np.diag(a) < 0.0))
     if not (basis and multiplicities_match and spectrum_nonpositive and proper_metzler):
         raise ModelError(

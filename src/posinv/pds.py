@@ -130,8 +130,7 @@ def steady_state_for(model: LinearPds, y0) -> np.ndarray:
         raise NumericsError("singular invariant system: kernel not determined by invariants")
     y_star = k @ coeffs
     defect = np.linalg.norm(n @ y_star - target, np.inf)
-    scale = max(np.linalg.norm(target, np.inf), 1.0)
-    if defect > 1e-10 * scale:
+    if defect > 1e-10 * np.linalg.norm(target, np.inf):
         raise NumericsError(f"steady-state invariant mismatch: defect {defect:.3e}")
     return y_star
 

@@ -84,11 +84,11 @@ def critical_step(model: LinearPds, scheme) -> CriticalStep:
 
     Evaluates the supremum of |stability value| over the whole nonzero
     spectrum (complex pairs included) and locates its first crossing of 1 by
-    bracket-doubling from 1e-6 followed by bisection to relative width
-    1e-10.  The doubling stops where dt*max|lambda| reaches ``Z_SEARCH_CAP``,
-    a cap on z rather than on dt, so ``2^k*A`` gets ``2^-k`` times the dt*
-    of A; if it stops there with every value below 1 the scheme is
-    unconditionally stable on this model.
+    bracket-doubling from the power-of-two multiple of 1e-6 where z =
+    dt*max|lambda| lies in [5e-7, 1e-6), then bisection to relative width
+    1e-10.  The doubling stops where z reaches ``Z_SEARCH_CAP``, so ``2^k*A``
+    gets ``2^-k`` times the dt* of A; if it stops there with every value
+    below 1 the scheme is unconditionally stable on this model.
     """
     lams = model.nonzero_eigenvalues
     if lams.size == 0:
@@ -99,7 +99,7 @@ def critical_step(model: LinearPds, scheme) -> CriticalStep:
     def radius(dt: float) -> float:
         return max(abs(stability_value(scheme, dt * lam, dt * trace)) for lam in lams)
 
-    lo, hi = 0.0, 1e-6
+    lo, hi = 0.0, math.ldexp(1e-6, -math.frexp(scale)[1])  # z in [5e-7, 1e-6)
     while radius(hi) < 1.0:
         if hi * scale >= Z_SEARCH_CAP:
             return CriticalStep(None, True, None, None)
@@ -208,7 +208,7 @@ def classify_fixed_point(model: LinearPds, scheme, y_star, dt: float) -> Stabili
         raise ValueError("steady state must be strictly positive")
     residual = np.linalg.norm(model.a @ y_star, np.inf)
     scale = np.linalg.norm(model.a, np.inf) * np.linalg.norm(y_star, np.inf)
-    if residual > 1e-8 * max(scale, 1.0):
+    if residual > 1e-8 * scale:
         raise ValueError("y_star is not a steady state of the model")
 
     jac = closed_form_jacobian(model, scheme, dt)

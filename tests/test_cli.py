@@ -13,6 +13,9 @@ import pytest
 import posinv
 from posinv import experiments
 from posinv.cli import EXIT_CHECK_FAILED, main
+from posinv.pds import resolve_builtin
+
+from test_pds import document_text
 
 GECO1_RUN = ["integrate", "--model", "builtin:paper-5x5", "--scheme", "geco1",
              "--dt", "1", "--steps", "200"]
@@ -219,6 +222,26 @@ class TestStability:
         assert after == run(capsys, "--seed", "7", *args)[1]
         assert after != run(capsys, *args)[1]
         assert run(capsys, "--seed", "0", *args, "--seed", "7")[1] == after
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_rates_are_analysed_like_unit_rates(self, capsys):
+        """Rates of 1e-12 give 1e12 times the dt* of unit rates, not a rejected model."""
+        code, out, err = run(capsys, "stability", "--model", "builtin:paper-2x2?a=1e-12&b=1e-12",
+                             "--scheme", "euler")
+        assert (code, err) == (0, "")
+        assert "critical dt: 1e+12\n" in out
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_model_file_scales_the_critical_step(self, capsys, tmp_path, k):
+        """A model file of 2^k times the 5x5 matrix has 2^-k times its gbbks2 dt*, 0.2970862902."""
+        doc = resolve_builtin("builtin:paper-5x5")
+        path = tmp_path / "model.txt"
+        path.write_text(document_text(2.0**k * doc.matrix, doc.y0))
+        code, out, err = run(capsys, "stability", "--model", str(path), "--scheme", "gbbks2")
+        assert (code, err) == (0, "")
+        dt_star = float(out.split("critical dt: ", 1)[1].split("\n", 1)[0])
+        assert dt_star == pytest.approx(2.0**-k * 0.2970862902, rel=1e-9)
 
     def test_bad_random_address(self, capsys):
         code, _, _ = run(capsys, "stability", "--model", "random:x", "--scheme", "geco1")

@@ -102,6 +102,27 @@ def test_order_reference_has_the_bits_of_expm_apply(monkeypatch, address):
     assert [ref.tobytes() for ref in seen] == [want, want]
 
 
+@pytest.mark.parametrize("tmax, dts", [
+    (1.0, [0.5, 0.0]),
+    (1e300, [1e-10]),
+    (1.0, [0.5, 0.3]),
+], ids=["dt-zero", "steps-overflow", "dt-does-not-divide"])
+def test_order_checks_every_level_before_the_exponential(monkeypatch, tmax, dts):
+    """A bad level is a ``ValueError`` whether or not ``expm(A, tmax)`` overflows.
+
+    Whether it overflows at ``tmax`` 1e300 depends on the BLAS kernel: the
+    squarings reach inf under OpenBLAS's Haswell kernels and 0 under SkylakeX.
+    """
+
+    def overflowed(a, t):
+        raise NumericsError("matrix exponential overflowed")
+
+    monkeypatch.setattr(experiments, "expm", overflowed)
+    doc = resolve_builtin("builtin:paper-2x2")
+    with pytest.raises(ValueError, match="^dt "):
+        experiments.observed_orders(doc.build(), make_scheme("geco1"), doc.y0, tmax, dts)
+
+
 def test_plain_propagator_when_no_steady_state(monkeypatch):
     """A model whose steady state cannot be determined still gets its rows."""
 

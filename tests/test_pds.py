@@ -50,6 +50,34 @@ class TestLinearPds:
         # its sums reach 1.6e308, which is finite
         assert pds.resolve_builtin("builtin:paper-stiff?K=8e307").build().dimension == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_matrix_with_a_subnormal_eigenvalue_is_rejected(self):
+        """Rates near 2^-1030 have subnormal eigenvalues, whose reciprocals overflow.
+
+        With no floor under the rank test such a matrix would be analysed, and
+        ``critical_step`` and the certificate divide by its eigenvalues.
+        2^-1000 times the same matrix loads.
+        """
+        with pytest.raises(ModelError, match="a nonzero eigenvalue is subnormal"):
+            pds.LinearPds.from_matrix(2.0**-1030 * two_by_two(1, 1, 1))
+        model = pds.LinearPds.from_matrix(2.0**-1000 * two_by_two(1, 1, 1))
+        assert model.nonzero_eigenvalues.tolist() == [-(2.0**-999)]
+
+    @pytest.mark.xfail(strict=True, reason="a relative rank tolerance cannot tell the slow mode -1 from 0")
+    @pytest.mark.parametrize("K", ["5e9", "1e10", "1e12"])
+    def test_graded_rates_keep_their_one_invariant(self, K):
+        """``paper-stiff`` has the one invariant y1 + y2 + y3 at every K.
+
+        Its rates span 1 to K, and beside K the slow mode -1 falls under
+        ``RANK_TOL * ||A||``: from K = 5e9 the invariant rows are (1, 1, 0) and
+        (0, 0, 1), from K = 1e10 the eigenvalue -1 is lost too, and a run
+        reports y3's growth as invariant drift.  A smaller tolerance only
+        moves the cut: 1e-13 moves it a thousand times higher.
+        """
+        rows = pds.resolve_builtin(f"builtin:paper-stiff?K={K}").build().invariant_rows
+        assert rows.shape == (1, 3)
+        npt.assert_allclose(rows[0] / rows[0, 0], [1.0, 1.0, 1.0], rtol=1e-12)
+
     def test_holds_a_frozen_copy_of_the_matrix(self):
         """A later write to the caller's array does not reach the model, and the model's is read-only."""
         a = np.array([[-1.0, 2.0], [1.0, -2.0]])

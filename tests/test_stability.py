@@ -28,7 +28,7 @@ from posinv.integrators import (
     phi,
     step_map,
 )
-from posinv.pds import LinearPds, steady_state_for
+from posinv.pds import LinearPds, resolve_builtin, steady_state_for
 
 from test_linalg import FIVE, two_by_two
 
@@ -38,6 +38,21 @@ Z_STAR = -3.92235950274307894119
 
 MODEL_5X5 = LinearPds.from_matrix(FIVE)
 UNIT_2X2 = LinearPds.from_matrix(two_by_two(1, 1, 1))
+
+
+def _builtin(address):
+    doc = resolve_builtin(f"builtin:{address}")
+    return doc.matrix, doc.y0
+
+
+#: (matrix, start state) of the power-of-two scaling tests: the three
+#: builtins and four random draws.
+SCALING_MODELS = {
+    address: _builtin(address) for address in ("paper-2x2", "paper-5x5", "paper-stiff?K=10")
+} | {
+    f"random-{seed}-{n}": (stability.random_conservative_system(seed, n).a, np.ones(n))
+    for seed, n in ((0, 3), (1, 4), (2, 6), (3, 8))
+}
 
 
 def family_strategy(sigma, r, q):
@@ -112,17 +127,21 @@ class TestCriticalStep:
             )
             assert abs(value) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("k", [-30, 30])
-    def test_scaled_matrix_scales_the_critical_step(self, k):
-        """2^k*A has 2^-k times the dt* of A: the search is capped in z, not in dt.
+    @pytest.mark.parametrize("k", [-900, -300, -30, -11, 11, 30, 300, 900])
+    @pytest.mark.parametrize("model_id", SCALING_MODELS)
+    def test_scaled_matrix_scales_the_critical_step(self, model_id, k):
+        """2^k*A has 2^-k times the dt* of A: the search starts and is capped in z, not in dt.
 
         Under an absolute cap on dt, the 5x5 model scaled by 2^-30 read
-        "unconditional" for every scheme.
+        "unconditional" for every scheme.  Doubling from the absolute dt 1e-6
+        gave dt* 0 for every scheme from 2^-36 times it on, where each
+        stability value at that dt rounds to 1.
         """
-        scaled = LinearPds.from_matrix(2.0**k * FIVE)
+        a = SCALING_MODELS[model_id][0]
+        model, scaled = LinearPds.from_matrix(a), LinearPds.from_matrix(2.0**k * a)
         for name in SCHEME_IDS:
             crit = stability.critical_step(scaled, make_scheme(name))
-            unscaled = stability.critical_step(MODEL_5X5, make_scheme(name))
+            unscaled = stability.critical_step(model, make_scheme(name))
             assert crit.unconditional == unscaled.unconditional == (name == "geco1")
             if name != "geco1":
                 assert crit.dt_star * 2.0**k == pytest.approx(unscaled.dt_star, rel=1e-9)
@@ -141,12 +160,14 @@ class TestCertificate:
         assert cert.m_value == pytest.approx(1.0, abs=1e-12)
         assert cert.product == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("k", [300, 520, 900])
+    @pytest.mark.parametrize("k", [-900, -520, -300, -11, 11, 300, 520, 900])
+    @pytest.mark.parametrize("model_id", SCALING_MODELS)
     @pytest.mark.filterwarnings("error")
-    def test_scaled_matrix_keeps_the_certificate(self, k):
+    def test_scaled_matrix_keeps_the_certificate(self, model_id, k):
         """2^k*A has the certificate of A; 2|Re lambda| / |lambda|^2 overflowed from k = 512 on."""
-        cert = stability.unconditional_certificate(LinearPds.from_matrix(2.0**k * FIVE))
-        unscaled = stability.unconditional_certificate(MODEL_5X5)
+        a = SCALING_MODELS[model_id][0]
+        cert = stability.unconditional_certificate(LinearPds.from_matrix(2.0**k * a))
+        unscaled = stability.unconditional_certificate(LinearPds.from_matrix(a))
         assert cert.holds
         assert cert.product == pytest.approx(unscaled.product, rel=1e-12)
 
@@ -302,6 +323,84 @@ class TestClassifyFixedPoint:
             stability.classify_fixed_point(MODEL_5X5, "geco1", np.ones(5), 1.0)
         with pytest.raises(ValueError):
             stability.classify_fixed_point(MODEL_5X5, "geco1", -self.Y_STAR_5, 1.0)
+
+
+class TestPowerOfTwoScale:
+    """2^k*A gets A's answers, and 2^j*y0 gets 2^j times the states of y0.
+
+    Scaling A by 2^k and dt by 2^-k is exact in floating point while no entry
+    leaves the normal range, and each scheme's step, Jacobian and stability
+    value depend on dt and A only through dt*A and dt*trace(S-); with no
+    absolute floor under a test, the analysis of 2^k*A is the analysis of A.
+    The critical step and the certificate are checked by the scaled-matrix
+    tests above.  Excluded: 2^±900 from the verdicts, where the closed-form
+    Jacobian's A @ A leaves the float range, and from the runs, where
+    paper-stiff's A @ y goes subnormal by step 44 at 2^-900; and paper-stiff
+    from the verdicts, as its steady state (0, 0, 1) is not strictly positive.
+    """
+
+    @pytest.mark.parametrize("k", [-900, -300, -11, 11, 300, 900])
+    @pytest.mark.parametrize("model_id", SCALING_MODELS)
+    def test_scaled_matrix_has_the_same_analysis(self, model_id, k):
+        """Invariant rows and kernel basis have A's bits; eigenvalues agree to 1e-12 relative.
+
+        The elimination is exact under 2^k; LAPACK's eigvals is not, so the
+        eigenvalues are held to a relative bound (1.2e-15 measured).
+        """
+        a = SCALING_MODELS[model_id][0]
+        model, scaled = LinearPds.from_matrix(a), LinearPds.from_matrix(2.0**k * a)
+        assert scaled.invariant_rows.tobytes() == model.invariant_rows.tobytes()
+        assert np.array(scaled.kernel_basis).tobytes() == np.array(model.kernel_basis).tobytes()
+        assert scaled.trace_s_minus == 2.0**k * model.trace_s_minus
+        npt.assert_allclose(
+            np.sort_complex(scaled.nonzero_eigenvalues) * 2.0**-k,
+            np.sort_complex(model.nonzero_eigenvalues),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("k", [-300, -11, 11, 300])
+    @pytest.mark.parametrize("model_id", [m for m in SCALING_MODELS if not m.startswith("paper-stiff")])
+    def test_scaled_matrix_has_the_same_verdicts(self, model_id, k):
+        """Verdict and kernel count at 0.5, 0.95 and 1.05 dt*; y* + 0.5 e_1 is not a steady state."""
+        a, y0 = SCALING_MODELS[model_id]
+        model, scaled = LinearPds.from_matrix(a), LinearPds.from_matrix(2.0**k * a)
+        y_star = steady_state_for(model, y0)
+        bumped = y_star + 0.5 * np.eye(len(y0))[0]
+        euler_dt = stability.critical_step(model, "euler").dt_star
+        for name in SCHEME_IDS:
+            # geco1 has no dt* on these models; it is probed at euler's
+            dt_star = stability.critical_step(model, name).dt_star or euler_dt
+            for factor in (0.5, 0.95, 1.05):
+                want = stability.classify_fixed_point(model, name, y_star, factor * dt_star)
+                got = stability.classify_fixed_point(scaled, name, y_star, factor * dt_star * 2.0**-k)
+                assert (got.verdict, got.kernel_count) == (want.verdict, want.kernel_count), (name, factor)
+            with pytest.raises(ValueError, match="not a steady state"):
+                stability.classify_fixed_point(scaled, name, bumped, dt_star * 2.0**-k)
+
+    @pytest.mark.parametrize("k", [-300, -11, 11, 300])
+    @pytest.mark.parametrize("model_id", SCALING_MODELS)
+    def test_scaled_matrix_has_the_same_runs(self, model_id, k):
+        """Every scheme, 50 steps at dt 0.3 on A and 0.3 * 2^-k on 2^k*A: the same state bytes."""
+        a, y0 = SCALING_MODELS[model_id]
+        model, scaled = LinearPds.from_matrix(a), LinearPds.from_matrix(2.0**k * a)
+        for name in SCHEME_IDS:
+            want = integrate(model, make_scheme(name), y0, 0.3, 50).states
+            got = integrate(scaled, make_scheme(name), y0, 0.3 * 2.0**-k, 50).states
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("j", [-300, 300])
+    @pytest.mark.parametrize("model_id", SCALING_MODELS)
+    def test_scaled_start_scales_the_states(self, model_id, j):
+        """Steady state and runs from 2^j*y0 are 2^j times those from y0, with the same defects."""
+        a, y0 = SCALING_MODELS[model_id]
+        model = LinearPds.from_matrix(a)
+        want = 2.0**j * steady_state_for(model, y0)
+        assert steady_state_for(model, 2.0**j * y0).tobytes() == want.tobytes()
+        for name in SCHEME_IDS:
+            run = integrate(model, make_scheme(name), y0, 0.3, 50)
+            scaled = integrate(model, make_scheme(name), 2.0**j * y0, 0.3, 50)
+            assert scaled.states.tobytes() == (2.0**j * run.states).tobytes(), name
+            assert scaled.invariant_defect.tobytes() == run.invariant_defect.tobytes(), name
 
 
 class TestRegionEndpoint:
