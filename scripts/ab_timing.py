@@ -253,7 +253,9 @@ def outputs(ops: dict, integrators=None) -> tuple[dict, list[str], dict]:
 def recorded(integrators):
     """Within the block, record the (factors, r) of every ``integrators._newton_tau`` call in the list yielded.
 
-    Arguments after ``r`` (a bound run's lift cache) are passed through, not recorded.
+    Arguments after ``r`` are passed through, not recorded: a tree whose runs
+    own their lift cache passes it there.  ``*rest`` can go once no compared
+    tree passes one.
     """
     calls, solve = [], integrators._newton_tau
 

@@ -116,7 +116,7 @@ def _summary(outdir: str, exp_id: str, checks: list[Check], extra: dict | None =
     payload = {
         "experiment": exp_id,
         "passed": all(bool(c.passed) for c in checks),
-        "checks": [{k: _plain(v) for k, v in c.__dict__.items()} for c in checks],
+        "checks": [c.__dict__ for c in checks],
     }
     if extra:
         payload.update(extra)

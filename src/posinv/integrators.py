@@ -126,9 +126,11 @@ def solve_tau(c, d, sigma, r: float) -> float:
 
 #: Smallest positive normal float; a triple with an entry below it is rescaled.
 _MIN_NORMAL = 2.0**-1022
+#: The last subnormal triple solved, its lift and its boundary: a pure function of the triple.
+_lift = (None, None, None)
 
 
-def _newton_tau(factors: list[tuple[float, float, float]], r: float, slot: list | None = None) -> float:
+def _newton_tau(factors: list[tuple[float, float, float]], r: float) -> float:
     """:func:`solve_tau` on validated, nonempty (c_m, d_m, sigma_m) float triples.
 
     One pass scales each triple with a subnormal entry by 2^k, k > 0, and
@@ -139,24 +141,24 @@ def _newton_tau(factors: list[tuple[float, float, float]], r: float, slot: list 
     is returned, one that is not becomes 2^-1074 if that keeps every float
     factor positive, and otherwise :class:`SolverError` names a factor.
 
-    ``slot`` = [triple, lifted triple, boundary], owned by one bound run, keeps
-    the last subnormal triple's lift, which consecutive stiff solves mostly share.
+    ``_lift`` is read once and replaced whole, so a solve never mixes two
+    entries, and consecutive stiff solves, which mostly share a triple, hit it.
     """
-    slot = [None, None, None] if slot is None else slot
-    scaled, boundary = factors, math.inf
+    global _lift
+    lift, scaled, boundary = _lift, factors, math.inf
     for i, triple in enumerate(factors):
         ci, di, si = triple
         if ci < _MIN_NORMAL or si < _MIN_NORMAL or di > -_MIN_NORMAL:
-            if slot[0] != triple:  # exact: the entries are finite and nonzero
+            if lift[0] != triple:  # exact: the entries are finite and nonzero
                 k = 1021 - math.frexp(max(ci, -di, si))[1]
-                slot[:] = (triple, (math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k)) if k > 0 else triple,
-                           _last_positive_tau(ci, di) if ci < _MIN_NORMAL else math.inf)
-            if slot[1] is not triple:
+                lifted = (math.ldexp(ci, k), math.ldexp(di, k), math.ldexp(si, k)) if k > 0 else triple
+                lift = _lift = (triple, lifted, _last_positive_tau(ci, di) if ci < _MIN_NORMAL else math.inf)
+            if lift[1] is not triple:
                 if scaled is factors:
                     scaled = factors.copy()
-                scaled[i] = slot[1]
-            if slot[2] < boundary:
-                boundary = slot[2]
+                scaled[i] = lift[1]
+            if lift[2] < boundary:
+                boundary = lift[2]
     # a boundary of 0.0 is no positive tau to return
     if 0.0 < boundary < math.inf and _root_above(scaled, r, boundary):
         tau = boundary
@@ -487,11 +489,10 @@ def _floats(v, ys: list, label: str) -> list:
     return v.tolist()
 
 
-def _stage(ys: list, slope: list, sigmas: list, r: float, label: str, slot: list | None = None):
+def _stage(ys: list, slope: list, sigmas: list, r: float, label: str):
     """A product-term stage (y + tau*slope, its list, tau), tau solved on {m : slope_m < 0}.
 
-    ``ys`` and ``sigmas`` are float lists; ``slot`` is the run's lift cache of
-    :func:`_newton_tau`.  An empty active set gives tau = 1, the empty product.
+    ``ys`` and ``sigmas`` are float lists; an empty active set gives tau = 1, the empty product.
     """
     factors = [factor for factor in zip(ys, slope, sigmas) if factor[1] < 0.0]
     for ci, _, si in factors:
@@ -505,28 +506,28 @@ def _stage(ys: list, slope: list, sigmas: list, r: float, label: str, slot: list
     if -math.inf in slope:
         # dt*f overflowed: every positive tau leaves that component at -inf
         raise NumericsError("scheme produced a non-finite state")
-    tau = _newton_tau(factors, r, slot) if factors else 1.0
+    tau = _newton_tau(factors, r) if factors else 1.0
     nxt = [yi + si * tau for yi, si in zip(ys, slope)]
     return np.array(nxt), nxt, tau
 
 
 def _bind_gbbks1(model, dt: float, spec):
     """First-order product-term step; reduces to Euler when f(y) >= 0."""
-    rhs, sigma_of, r_of, slot = model.rhs, spec.strategy.sigma, spec.strategy.r, [None, None, None]
+    rhs, sigma_of, r_of = model.rhs, spec.strategy.sigma, spec.strategy.r
     r_of = None if r_of is _one else r_of  # the default r = 1 is a constant, not a call
 
     def advance(y, ys):
         slope = [dt * fi for fi in rhs(y).tolist()]
         sigma, r = sigma_of(y, None), 1.0 if r_of is None else float(r_of(y))
         sigmas = ys if sigma is y else _floats(sigma, ys, "gbbks1")
-        nxt, ys_next, tau = _stage(ys, slope, sigmas, r, "gbbks1", slot)
+        nxt, ys_next, tau = _stage(ys, slope, sigmas, r, "gbbks1")
         return nxt, ys_next, tau, {}
     return advance
 
 
 def _bind_gbbks2(model, dt: float, spec):
     """Two-stage product-term step; reduces to Heun when both active sets are empty."""
-    alpha, strategy, rhs, slot = spec.alpha, spec.strategy, model.rhs, [None, None, None]
+    alpha, strategy, rhs = spec.alpha, spec.strategy, model.rhs
     h, w1, w2, sigma_of = alpha * dt, 1.0 - 1.0 / (2.0 * alpha), 1.0 / (2.0 * alpha), strategy.sigma
     # the defaults r = q = 1 and pi = y are constants, not calls
     r_of, q_of, pi_of = (None if fn is default else fn for fn, default in
@@ -536,11 +537,11 @@ def _bind_gbbks2(model, dt: float, spec):
         f1 = rhs(y).tolist()
         pi, q = y if pi_of is None else pi_of(y), 1.0 if q_of is None else float(q_of(y))
         pis = ys if pi is y else _floats(pi, ys, "gbbks2 inner")
-        y2, ys2, tau_inner = _stage(ys, [h * fi for fi in f1], pis, q, "gbbks2 inner", slot)
+        y2, ys2, tau_inner = _stage(ys, [h * fi for fi in f1], pis, q, "gbbks2 inner")
         slope = [dt * (w1 * a + w2 * b) for a, b in zip(f1, rhs(y2).tolist())]
         sigma, r = sigma_of(y, y2), 1.0 if r_of is None else float(r_of(y))
         sigmas = ys2 if sigma is y2 else ys if sigma is y else _floats(sigma, ys, "gbbks2")
-        nxt, ys_next, tau = _stage(ys, slope, sigmas, r, "gbbks2", slot)
+        nxt, ys_next, tau = _stage(ys, slope, sigmas, r, "gbbks2")
         return nxt, ys_next, tau, {"tau_inner": tau_inner}
     return advance
 
@@ -637,11 +638,10 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
 
     ``y0`` and ``dt`` are checked once, and each result as it is produced
     and written into its row of one (n_steps + 1, N) array.  When a checked
-    result has the same bytes as the state it came from, the remaining rows
-    are filled with that state and the map is not called again; when it
-    has the bytes of the state two steps back, the remaining rows alternate
-    the last two states.  This relies on the step map being a deterministic
-    function of the state: the schemes' maps are, and so must be the callables of
+    result has the bytes of the state p = 1 or 2 steps back (the least such
+    p), the map is not called again and each remaining row repeats the row p
+    above it.  This relies on the step map being a deterministic function
+    of the state: the schemes' maps are, and so must be the callables of
     a :class:`~posinv.pds.GeneralPds` and of a :class:`GbbksStrategy`.  The
     comparisons are bitwise, so a step that only flips the sign of a zero is
     no fixed point.  Invariant defects and minima are computed once, after
@@ -669,14 +669,11 @@ def integrate(model, scheme: SchemeSpec, y0, dt: float, n_steps: int) -> Traject
                 _check_result(ys)
                 states[done] = y
                 current = y.tobytes()
-                if current == last:
-                    # a bitwise fixed point of a pure map: every later state is these bits
-                    states[done + 1:] = y
-                    break
-                if current == before:
-                    # a bitwise 2-cycle of a pure map: the last two states alternate
-                    states[done + 1::2] = states[done - 1]
-                    states[done + 2::2] = y
+                if current == last or current == before:
+                    # a pure map repeats a cycle of period p: row n has the bits of row n - p
+                    p = 1 if current == last else 2
+                    for k in range(1, p + 1):
+                        states[done + k::p] = states[done + k - p]
                     break
                 last, before = current, last
         except (PosinvError, ValueError) as exc:

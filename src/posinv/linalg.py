@@ -65,8 +65,6 @@ def nullspace(a) -> list[np.ndarray]:
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
-        if row >= n:
-            break
         p = row + int(np.argmax(np.abs(m[row:, col])))
         if abs(m[p, col]) <= thresh:
             continue

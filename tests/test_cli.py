@@ -247,6 +247,13 @@ class TestStability:
         code, _, _ = run(capsys, "stability", "--model", "random:x", "--scheme", "geco1")
         assert code == 2
 
+    def test_verdict_skipped_where_the_steady_state_is_not_positive(self, capsys):
+        """``paper-stiff``'s steady state (0, 0, 1) is not positive: no verdict at the given dt, exit 0."""
+        code, out, _ = run(capsys, "stability", "--model", "builtin:paper-stiff", "--scheme", "geco1",
+                           "--dt", "0.5")
+        assert code == 0
+        assert "verdict at dt=0.5: skipped (steady state not positive)\n" in out
+
 
 class TestReproduce:
     def test_fig2(self, capsys, tmp_path):
@@ -380,6 +387,11 @@ class TestOrder:
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 2 and lines[1].endswith(",")
+
+    def test_no_levels_exits_2(self, capsys):
+        code, out, err = run(capsys, "order", "--model", "builtin:paper-2x2", "--scheme", "geco1",
+                             "--tmax", "1", "--dt0", "0.25", "--levels", "0")
+        assert (code, out, err) == (2, "", "error: --levels must be >= 1\n")
 
     def test_non_dividing_dt_exits_2(self, capsys):
         code, _, _ = run(capsys, "order", "--model", "builtin:paper-2x2",

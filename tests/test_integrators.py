@@ -269,6 +269,19 @@ class TestPhi:
         assert phi(x + 0.5) <= value
 
 
+def count_boundaries(monkeypatch) -> list:
+    """Empty the solve's lift entry; return the list of c that each later ``_last_positive_tau`` call appends."""
+    boundaries, last_positive_tau = [], integrators._last_positive_tau
+
+    def counted(c, d):
+        boundaries.append(c)
+        return last_positive_tau(c, d)
+
+    monkeypatch.setattr(integrators, "_last_positive_tau", counted)
+    monkeypatch.setattr(integrators, "_lift", (None, None, None))
+    return boundaries
+
+
 class TestSolveTau:
     def test_single_factor_closed_form(self):
         # r=1, sigma=c: tau = c/(c-d)
@@ -288,6 +301,8 @@ class TestSolveTau:
                            ([1], [-1], [1], math.inf)]:
             with pytest.raises(ValueError):
                 solve_tau(c, d, s, r)
+        with pytest.raises(ValueError, match="matching shapes"):
+            solve_tau([1, 2], [-1], [1, 1], 1)
 
     @pytest.mark.parametrize(
         "c, d, s", [([math.inf], [-1.0], [1.0]), ([1.0], [-math.inf], [1.0]), ([1.0], [-1.0], [math.inf])]
@@ -462,13 +477,13 @@ class TestSolveTau:
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_lift_cache_hit_and_miss_give_the_bits_of_a_cold_solve(self, r, monkeypatch):
-        """One slot across solves whose subnormal triple alternates between two keys.
+        """The solve's lift entry across solves whose subnormal triple alternates between two keys.
 
-        A solve that meets the slot's key reuses its lift and boundary (a
+        A solve that meets the entry's key reuses its lift and boundary (a
         hit); one that meets the other key computes them again, one
-        ``_last_positive_tau`` call, and replaces the slot (a miss).  Both
-        return the bits of ``_newton_tau(factors, r)`` without a slot.  Each
-        key sits beside a normal triple drawn afresh for every solve; the
+        ``_last_positive_tau`` call, and replaces the entry (a miss).  Both
+        return the bits of ``_newton_tau(factors, r)`` from an empty entry.
+        Each key sits beside a normal triple drawn afresh for every solve; the
         keys differ in d alone, so a key that compared c only would fail.
         """
         tiny = math.ulp(0.0)
@@ -479,23 +494,30 @@ class TestSolveTau:
         for _ in range(300):
             normal = (float(rng.uniform(0.5, 2.0)), -float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.5, 2.0)))
             cases.append([keys[int(rng.integers(2))], normal])
-        cold = [integrators._newton_tau(factors, r) for factors in cases]
-        boundaries = []
-        last_positive_tau = integrators._last_positive_tau
-
-        def counted(c, d):
-            boundaries.append(c)
-            return last_positive_tau(c, d)
-
-        monkeypatch.setattr(integrators, "_last_positive_tau", counted)
-        slot = [None, None, None]
+        cold = []
+        for factors in cases:
+            monkeypatch.setattr(integrators, "_lift", (None, None, None))
+            cold.append(integrators._newton_tau(factors, r))
+        boundaries = count_boundaries(monkeypatch)
         for factors, want in zip(cases, cold):
             # equal keys that are not the same tuple, as a run's triples are
             factors = [tuple(float(v) for v in factors[0]), factors[1]]
-            assert integrators._newton_tau(factors, r, slot).hex() == want.hex(), factors
-            assert slot[0] == factors[0]
+            assert integrators._newton_tau(factors, r).hex() == want.hex(), factors
+            assert integrators._lift[0] == factors[0]
         misses = 1 + sum(a[0] != b[0] for a, b in zip(cases, cases[1:]))
         assert len(boundaries) == misses and 100 < misses < 200
+
+    def test_repeated_public_solves_of_one_subnormal_triple_lift_it_once(self, monkeypatch):
+        """``solve_tau`` shares the lift entry: five solves of a stiff subnormal triple, one boundary.
+
+        Each call builds its triple afresh, so the entry is met by an equal
+        key that is not the same tuple, and every call returns the same bits.
+        """
+        tiny = math.ulp(0.0)
+        boundaries = count_boundaries(monkeypatch)
+        taus = [solve_tau([3 * tiny, 0.5], [-1e6 * tiny, -1.0], [3 * tiny, 1.0], 1.0) for _ in range(5)]
+        assert len({tau.hex() for tau in taus}) == 1 and taus[0] > 0.0
+        assert boundaries == [3 * tiny]
 
     def test_overflowed_power_is_a_positive_g(self):
         """(1e200 - tau)^2 overflows the float range up to tau ~ 1e200 - 1e154: G is +inf there.
@@ -1447,8 +1469,9 @@ def test_integrate_matches_checked_steps_bitwise(model, name, y0, dt):
 def test_bound_runs_stepped_in_turn_keep_their_own_bits(name):
     """Two runs bound on ``paper-stiff``, K = 1e6 at dt 1 and K = 1e3 at dt 1e12, advanced in turn.
 
-    Each holds its own lift cache, and their subnormal triples differ, so
-    stepping them alternately gives each the states of its own ``integrate``.
+    Their subnormal triples differ, so the solve's one lift entry misses on
+    every alternation; stepping them in turn still gives each the states of
+    its own ``integrate``.
     """
     cases = [(PAPER_STIFF, 1.0), (posinv.load_model("builtin:paper-stiff?K=1000"), 1e12)]
     scheme, runs = make_scheme(name), []
@@ -1620,8 +1643,7 @@ def test_solve_replay_needs_the_functions_it_counts(name, monkeypatch):
 def test_solve_recorder_records_one_call_per_stage_with_an_active_set(monkeypatch):
     """A short stiff gbbks2 run: one recorded solve per stage with a negative slope, in stage order.
 
-    The recorder passes the run's lift cache through, and each recorded
-    (factors, r), solved again without it, gives the tau of its stage.
+    Each recorded (factors, r), solved again, gives the tau of its stage.
     """
     ab_timing = load_script("ab_timing", monkeypatch)
     active_taus, stages = [], []

@@ -232,6 +232,10 @@ class TestModelFiles:
             ("kind linear\ndim 1\nmatrix\ninf\ny0 1", "non-finite"),
             ("kind linear\ndim 1\nmatrix\n0\ny0 one", "bad number"),
             ("kind linear\ndim 1\nmatrix\n0\ny0 1\nextra", "trailing"),
+            ("kind linear\ndimension 2\nmatrix\n1 2\n3 4\ny0 1 2", "expected 'dim N'"),
+            ("kind linear\ndim two\nmatrix\n1 2\n3 4\ny0 1 2", "bad dimension 'two'"),
+            ("kind linear\ndim 2\nrows\n1 2\n3 4\ny0 1 2", "expected 'matrix'"),
+            ("kind linear\ndim 2\nmatrix\n1 2\n3 4\ny0 1", "expected 'y0' followed by 2 entries"),
             ("builtin:paper-5x5", "line 1: expected 'kind <linear>'"),
         ],
     )
