@@ -251,17 +251,12 @@ def outputs(ops: dict, integrators=None) -> tuple[dict, list[str], dict]:
 
 @contextlib.contextmanager
 def recorded(integrators):
-    """Within the block, record the (factors, r) of every ``integrators._newton_tau`` call in the list yielded.
-
-    Arguments after ``r`` are passed through, not recorded: a tree whose runs
-    own their lift cache passes it there.  ``*rest`` can go once no compared
-    tree passes one.
-    """
+    """Within the block, record the (factors, r) of every ``integrators._newton_tau`` call in the list yielded."""
     calls, solve = [], integrators._newton_tau
 
-    def recording(factors, r, *rest):
+    def recording(factors, r):
         calls.append((list(factors), r))
-        return solve(factors, r, *rest)
+        return solve(factors, r)
 
     integrators._newton_tau = recording
     try:

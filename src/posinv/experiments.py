@@ -3,9 +3,9 @@
 Each experiment id maps to a fixed (model, scheme, step size, horizon,
 start vector) recipe.  Critical step sizes used inside the recipes are
 recomputed at run time, never hard-coded, so the experiments stay honest
-against the stability module.  Every run writes one or more CSV tables plus
-a machine-readable JSON summary whose checks carry expected value,
-tolerance, observed value and a pass flag.
+against the stability module.  A recipe returns its CSV tables, checks and
+summary fields; :func:`run_experiment` writes the tables, then a JSON summary
+whose checks carry expected value, tolerance, observed value and a pass flag.
 
 Horizons are recipe parameters, not reference facts: the convergent runs use
 enough steps for the error to contract by orders of magnitude, the divergent
@@ -111,21 +111,6 @@ def _plain(value):
     return value
 
 
-def _summary(outdir: str, exp_id: str, checks: list[Check], extra: dict | None = None) -> str:
-    path = os.path.join(outdir, f"{exp_id}_summary.json")
-    payload = {
-        "experiment": exp_id,
-        "passed": all(bool(c.passed) for c in checks),
-        "checks": [c.__dict__ for c in checks],
-    }
-    if extra:
-        payload.update(extra)
-    with _written(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_plain)
-        handle.write("\n")
-    return path
-
-
 def reference_flow(model, start, dt: float, n_steps: int) -> Iterator[np.ndarray]:
     """The exact flow exp(n*dt*A) start at n = 0..n_steps, in blocks of rows.
 
@@ -204,15 +189,14 @@ def state_header(dim: int, with_steady: bool, flow_error: str = "err_ref") -> li
     return header
 
 
-def run_fig2(outdir: str) -> tuple[list[str], list[Check]]:
+def run_fig2() -> tuple[dict, list[Check], dict]:
     """First-order damped scheme on the 5x5 problem at dt = 1."""
     doc = resolve_builtin("builtin:paper-5x5")
     model = doc.build()
     y_star = steady_state_for(model, doc.y0)
     traj = integrate(model, make_scheme("geco1"), doc.y0, dt=1.0, n_steps=200)
     errors = np.max(np.abs(traj.states - y_star), axis=1)
-    path = os.path.join(outdir, "fig2.csv")
-    write_csv(path, state_header(5, True), TrajectoryRows(model, traj, doc.y0, err_steady=errors))
+    tables = {"fig2.csv": (state_header(5, True), TrajectoryRows(model, traj, doc.y0, err_steady=errors))}
 
     final_err = float(errors[-1])
     defect = float(traj.invariant_defect.max())
@@ -222,7 +206,7 @@ def run_fig2(outdir: str) -> tuple[list[str], list[Check]]:
         Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12),
         Check("min_component_nonnegative", 0.0, 0.0, lowest, lowest >= 0.0),
     ]
-    return [path, _summary(outdir, "fig2", checks)], checks
+    return tables, checks, {}
 
 
 _BIFURCATION = {
@@ -235,7 +219,7 @@ _BIFURCATION = {
 }
 
 
-def run_bifurcation(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
+def run_bifurcation(exp_id: str) -> tuple[dict, list[Check], dict]:
     """Near-critical runs of the second-order and product-term schemes.
 
     The convergent variant runs from the reference start at
@@ -260,8 +244,8 @@ def run_bifurcation(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
 
     traj = integrate(model, scheme, start, dt=dt, n_steps=steps)
     errors = np.max(np.abs(traj.states - y_star), axis=1)
-    path = os.path.join(outdir, f"{exp_id}.csv")
-    write_csv(path, state_header(5, True), TrajectoryRows(model, traj, start, err_steady=errors))
+    rows = TrajectoryRows(model, traj, start, err_steady=errors)
+    tables = {f"{exp_id}.csv": (state_header(5, True), rows)}
 
     defect = float(traj.invariant_defect.max())
     checks = [Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12)]
@@ -275,18 +259,18 @@ def run_bifurcation(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
             Check("error_initially_decreases", 0.0, errors[0], initial_dip, initial_dip < errors[0])
         )
         checks.append(Check("error_grows_past_1e-4", 1e-3, "order of magnitude", peak, peak > 1e-4))
-    extra = {"dt": dt, "dt_star": crit.dt_star, "scheme": scheme_name, "steps": steps}
-    return [path, _summary(outdir, exp_id, checks, extra)], checks
+    return tables, checks, {"dt": dt, "dt_star": crit.dt_star, "scheme": scheme_name, "steps": steps}
 
 
-def limit_crossing_time(grid_dt: float = 1e-4, horizon: float = 2.0) -> float:
+def limit_crossing_time() -> float:
     """Crossing time of the stiff-limit reference components y2 and y3.
 
     Samples the closed-form limit solution (y2 = 0.99 e^-t,
-    y3 = 1 - 0.99 e^-t) on a uniform grid and extracts the crossing with the
-    same sign-change interpolation used for numerical trajectories.
+    y3 = 1 - 0.99 e^-t) on [0, 2] at steps of 1e-4 and extracts the crossing
+    with the same sign-change interpolation used for numerical trajectories.
     """
-    times = np.arange(0.0, horizon + grid_dt, grid_dt)
+    grid_dt = 1e-4
+    times = np.arange(0.0, 2.0 + grid_dt, grid_dt)
     diff = 2.0 * 0.99 * np.exp(-times) - 1.0  # y2 - y3
     return crossing_time(times, diff, skip_before=grid_dt / 2)
 
@@ -323,33 +307,27 @@ def geco1_stiff_crossing(K: float, dt: float, y0, n_steps: int) -> float:
     return crossing_time(n * dt, diff, skip_before=dt)
 
 
-def run_fig6(outdir: str) -> tuple[list[str], list[Check]]:
+def run_fig6() -> tuple[dict, list[Check], dict]:
     """Stiff phase-error study: first-order damped scheme at dt = 0.1.
 
     Each computed crossing is judged against the closed-form crossing of the
     discrete map (``geco1_stiff_crossing``) to 1e-12 relative.
     """
-    files = []
+    tables = {}
     checks = []
     crossings = {}
     for K in (10.0, 100.0):
         doc = resolve_builtin(f"builtin:paper-stiff?K={K:g}")
         model = doc.build()
         traj = integrate(model, make_scheme("geco1"), doc.y0, dt=0.1, n_steps=1000)
-        path = os.path.join(outdir, f"fig6_K{K:g}.csv")
-        write_csv(path, state_header(3, False), TrajectoryRows(model, traj, doc.y0))
-        files.append(path)
+        tables[f"fig6_K{K:g}.csv"] = (state_header(3, False), TrajectoryRows(model, traj, doc.y0))
 
         t_cross = crossing_time(traj.times, traj.states[:, 1] - traj.states[:, 2], skip_before=0.1)
         crossings[f"K{K:g}"] = t_cross
         expected = geco1_stiff_crossing(K, 0.1, doc.y0, 1000)
         tolerance = 1e-12 * expected
-        checks.append(
-            Check(
-                f"crossing_time_K{K:g}", expected, tolerance, t_cross,
-                abs(t_cross - expected) <= tolerance,
-            )
-        )
+        checks.append(Check(f"crossing_time_K{K:g}", expected, tolerance, t_cross,
+                            abs(t_cross - expected) <= tolerance))
 
     exact = limit_crossing_time()
     target = math.log(1.98)
@@ -364,17 +342,15 @@ def run_fig6(outdir: str) -> tuple[list[str], list[Check]]:
         "at dt=0.1 (1.259 and 6.965); it gives them within 20% at dt=1.0 "
         "(8.271 and 69.65), and at dt=0.1 with K in {100, 1000}."
     )
-    files.append(_summary(outdir, "fig6", checks, {"crossings": crossings, "note": note}))
-    return files, checks
+    return tables, checks, {"crossings": crossings, "note": note}
 
 
-def run_remark8(outdir: str) -> tuple[list[str], list[Check]]:
+def run_remark8() -> tuple[dict, list[Check], dict]:
     """Region endpoint of the second-order damped scheme, with the reported bracket."""
     endpoint = stability.geco2_region_endpoint()
     zs = np.linspace(endpoint.z_star - 0.5, 0.0, 201)
     values = [stability.stability_value("geco2", z, -z).real for z in zs]
-    path = os.path.join(outdir, "remark8.csv")
-    write_csv(path, ["z", "stability_value"], np.column_stack([zs, values]))
+    tables = {"remark8.csv": (["z", "stability_value"], np.column_stack([zs, values]))}
 
     checks = [
         Check(
@@ -392,15 +368,14 @@ def run_remark8(outdir: str) -> tuple[list[str], list[Check]]:
             not endpoint.agrees_with_reported,
         ),
     ]
-    extra = {
+    return tables, checks, {
         "z_star": endpoint.z_star,
         "reported_bracket": list(stability.REPORTED_ENDPOINT_BRACKET),
         "agrees_with_reported": endpoint.agrees_with_reported,
     }
-    return [path, _summary(outdir, "remark8", checks, extra)], checks
 
 
-def run_jacobians(outdir: str) -> tuple[list[str], list[Check]]:
+def run_jacobians() -> tuple[dict, list[Check], dict]:
     """Finite-difference vs closed-form Jacobians at the steady states."""
     rows = []
     checks = []
@@ -419,9 +394,7 @@ def run_jacobians(outdir: str) -> tuple[list[str], list[Check]]:
             checks.append(
                 Check(f"jacobian_gap_{doc.builtin}_{name}", 0.0, 1e-4, gap, gap <= 1e-4)
             )
-    path = os.path.join(outdir, "jacobians.csv")
-    write_csv(path, ["model", "scheme", "dt", "max_abs_error"], rows)
-    return [path, _summary(outdir, "jacobians", checks)], checks
+    return {"jacobians.csv": (["model", "scheme", "dt", "max_abs_error"], rows)}, checks, {}
 
 
 def observed_orders(model, scheme, y0, tmax: float, dts) -> list[tuple[float, float, float]]:
@@ -452,7 +425,7 @@ def observed_orders(model, scheme, y0, tmax: float, dts) -> list[tuple[float, fl
     return out
 
 
-def run_order(outdir: str) -> tuple[list[str], list[Check]]:
+def run_order() -> tuple[dict, list[Check], dict]:
     """Convergence orders of the four nonstandard schemes on the 2x2 problem.
 
     geco1 is exact on this family, so its check bounds the error instead.
@@ -477,8 +450,6 @@ def run_order(outdir: str) -> tuple[list[str], list[Check]]:
         checks.append(
             Check(f"order_{name}", 0.5 * (lo + hi), 0.5 * (hi - lo), tail, lo <= tail <= hi)
         )
-    path = os.path.join(outdir, "order.csv")
-    write_csv(path, ["scheme", "dt", "err", "order"], rows)
     note = (
         "On this 2x2 family the first-order damped scheme is exact (its "
         "damping argument equals -dt*lambda, so the nonzero-mode multiplier "
@@ -486,7 +457,7 @@ def run_order(outdir: str) -> tuple[list[str], list[Check]]:
         "observable, so order_geco1 checks the largest error against "
         "1e-13*max|y0|. Its genuine first order is visible on builtin:paper-5x5."
     )
-    return [path, _summary(outdir, "order", checks, {"note": note})], checks
+    return {"order.csv": (["scheme", "dt", "err", "order"], rows)}, checks, {"note": note}
 
 
 _RUNNERS = {
@@ -501,8 +472,20 @@ EXPERIMENT_IDS = tuple(_RUNNERS)
 
 
 def run_experiment(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
-    """Dispatch one experiment id; returns written files and its checks."""
+    """Run one experiment, write its tables and then its summary; returns the files and checks.
+
+    ``outdir`` is created before the recipe runs, and a recipe that fails writes no file.
+    """
     if exp_id not in _RUNNERS:
         raise ValueError(f"unknown experiment {exp_id!r}; known: {EXPERIMENT_IDS}")
     os.makedirs(outdir, exist_ok=True)
-    return _RUNNERS[exp_id](outdir)
+    tables, checks, extra = _RUNNERS[exp_id]()
+    files = [os.path.join(outdir, name) for name in [*tables, f"{exp_id}_summary.json"]]
+    for path, (header, rows) in zip(files, tables.values()):
+        write_csv(path, header, rows)
+    payload = {"experiment": exp_id, "passed": all(bool(c.passed) for c in checks),
+               "checks": [c.__dict__ for c in checks], **extra}
+    with _written(files[-1]) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True, default=_plain)
+        handle.write("\n")
+    return files, checks

@@ -198,6 +198,8 @@ def resolve_builtin(address: str) -> ModelDocument:
             params[key] = float(value)
         except ValueError as exc:
             raise ModelError(f"non-numeric parameter {key}={value!r}") from exc
+        if not np.isfinite(params[key]):
+            raise ModelError(f"non-finite parameter {key}={value!r}")
     try:
         return BUILTIN_MODELS[name](**params)
     except TypeError as exc:

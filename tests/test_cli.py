@@ -243,6 +243,14 @@ class TestStability:
         dt_star = float(out.split("critical dt: ", 1)[1].split("\n", 1)[0])
         assert dt_star == pytest.approx(2.0**-k * 0.2970862902, rel=1e-9)
 
+    def test_non_finite_builtin_parameter_exits_2_naming_it(self, capsys):
+        """``K=1e309`` parses to inf; the error names the parameter, not the matrix it would give."""
+        code, out, err = run(capsys, "stability", "--model", "builtin:paper-stiff?K=1e309",
+                             "--scheme", "geco1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "K='1e309'" in err
+
     def test_bad_random_address(self, capsys):
         code, _, _ = run(capsys, "stability", "--model", "random:x", "--scheme", "geco1")
         assert code == 2

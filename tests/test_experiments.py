@@ -1,4 +1,4 @@
-"""The reference-flow rows of the experiment CSVs, and the CSV cell rule.
+"""The reference-flow rows of the experiment CSVs, the CSV cell rule, and the files an experiment writes.
 
 ``experiments.reference_flow`` builds the ``err_ref`` column from one
 propagator per trajectory, a block of rows at a time; tests that need the
@@ -305,6 +305,40 @@ def test_float_table_blocks_match_the_per_cell_rule(tmp_path):
     assert blocks.read_bytes().count(b"\n") == len(table) + 1
     with pytest.raises(ValueError, match="row width"):
         experiments.write_csv(str(blocks), header, table[:, :3])
+
+
+@pytest.mark.parametrize("exp_id", experiments.EXPERIMENT_IDS)
+def test_experiment_writes_its_tables_then_its_summary_and_nothing_else(monkeypatch, tmp_path, exp_id):
+    """The returned files are the directory's files in the order written: CSVs, then the summary."""
+    opened, written = [], experiments._written
+
+    def recording(path):
+        opened.append(path)
+        return written(path)
+
+    monkeypatch.setattr(experiments, "_written", recording)
+    files, _ = experiments.run_experiment(exp_id, str(tmp_path))
+    assert opened == files
+    assert sorted(files) == sorted(str(path) for path in tmp_path.iterdir())
+    assert files[-1] == str(tmp_path / f"{exp_id}_summary.json")
+    assert len(files) > 1 and all(path.endswith(".csv") for path in files[:-1])
+
+
+def test_failing_experiment_writes_no_file(monkeypatch, tmp_path):
+    """fig6 whose K=100 run fails leaves no K=10 table: the tables are written after the recipe returns."""
+    calls = []
+
+    def second_run_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericsError("forced")
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", second_run_fails)
+    with pytest.raises(NumericsError, match="forced"):
+        experiments.run_experiment("fig6", str(tmp_path))
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def crossing_by_scan(times, diff, skip_before):

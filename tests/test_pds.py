@@ -266,6 +266,10 @@ class TestModelFiles:
             pds.resolve_builtin("builtin:paper-2x2?zeta=1")
         with pytest.raises(ModelError, match="repeated parameter 'a'"):
             pds.resolve_builtin("builtin:paper-2x2?a=1&a=2")
+        with pytest.raises(ModelError, match="non-finite parameter a='nan'"):
+            pds.resolve_builtin("builtin:paper-2x2?a=nan")
+        with pytest.raises(ModelError, match="non-finite parameter K='1e309'"):
+            pds.resolve_builtin("builtin:paper-stiff?K=1e309")
 
     def test_load_model_from_file(self, tmp_path):
         path = tmp_path / "model.txt"
