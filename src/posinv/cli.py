@@ -67,8 +67,8 @@ def cmd_integrate(args) -> int:
     model, y0 = _resolve_model(args.model, args.seed)
     scheme = make_scheme(args.scheme, args.alpha)
     traj = integrate(model, scheme, y0, dt=args.dt, n_steps=args.steps)
-    header = experiments.state_header(model.dimension, False, flow_error="err")
-    _emit(args.out, header, experiments.TrajectoryRows(model, traj, y0))
+    rows = experiments.TrajectoryRows(model, traj, y0, flow_error="err")
+    _emit(args.out, rows.header, rows)
     return EXIT_OK
 
 

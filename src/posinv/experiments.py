@@ -39,7 +39,7 @@ DIVERGENT_STEPS = 3000
 #: Start perturbation of the divergent runs (orthogonal to the mass row).
 PERTURBATION = np.array([-2.0, 1.0, 1.0, -1.0, 1.0])
 
-ORDER_SCHEMES = ("geco1", "geco2", "gbbks1", "gbbks2")
+POSITIVE_SCHEMES = ("geco1", "geco2", "gbbks1", "gbbks2")
 ORDER_LEVELS = tuple(2.0 ** -k for k in range(3, 11))
 
 #: Rows per block of :func:`reference_flow` and :class:`TrajectoryRows` and per
@@ -104,11 +104,10 @@ class Check:
     observed: float | str
     passed: bool
 
-
-def _plain(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+    @classmethod
+    def within(cls, name: str, expected: float, tolerance: float, observed: float) -> Check:
+        """The check that ``observed`` lies within ``tolerance`` of ``expected``."""
+        return cls(name, expected, tolerance, observed, bool(abs(observed - expected) <= tolerance))
 
 
 def reference_flow(model, start, dt: float, n_steps: int) -> Iterator[np.ndarray]:
@@ -151,17 +150,20 @@ def _flow_blocks(prop, start, y_inf, n_steps: int) -> Iterator[np.ndarray]:
 class TrajectoryRows:
     """CSV table: step, t, state, invariant defect, error vs the flow, ``err_steady``.
 
-    One row per state; ``len`` is the row count.  Iterating forms the table a
-    block of ``_ROW_BLOCK`` rows at a time, each with its rows of the
-    :func:`reference_flow` started at ``start``, so a table takes the
-    trajectory's own arrays plus one block; the flow is stepped once, so the
-    table can be iterated once.  ``err_steady`` has one entry per state.
+    ``header`` names the columns: ``y_1..y_N``, the flow error as ``flow_error``, and
+    ``err_steady`` only when that series (one entry per state) is given.  One row per
+    state; ``len`` is the row count.  Iterating forms the table a block of
+    ``_ROW_BLOCK`` rows at a time, each with its rows of the :func:`reference_flow`
+    started at ``start``, so a table takes the trajectory's own arrays plus one
+    block; the flow is stepped once, so the table can be iterated once.
     """
 
-    def __init__(self, model, traj, start, *, err_steady=None):
+    def __init__(self, model, traj, start, *, err_steady=None, flow_error: str = "err_ref"):
         if err_steady is not None and np.shape(err_steady) != (len(traj),):
             raise ValueError("err_steady must hold one entry per state")
         self.traj, self.err_steady = traj, err_steady
+        self.header = (["step", "t"] + [f"y_{i + 1}" for i in range(traj.states.shape[1])]
+                       + ["inv_defect", flow_error] + ([] if err_steady is None else ["err_steady"]))
         self._flow = reference_flow(model, start, traj.dt, len(traj) - 1)
 
     def __len__(self) -> int:
@@ -182,13 +184,6 @@ class TrajectoryRows:
             yield np.column_stack(columns)
 
 
-def state_header(dim: int, with_steady: bool, flow_error: str = "err_ref") -> list[str]:
-    header = ["step", "t"] + [f"y_{i + 1}" for i in range(dim)] + ["inv_defect", flow_error]
-    if with_steady:
-        header.append("err_steady")
-    return header
-
-
 def run_fig2() -> tuple[dict, list[Check], dict]:
     """First-order damped scheme on the 5x5 problem at dt = 1."""
     doc = resolve_builtin("builtin:paper-5x5")
@@ -196,17 +191,15 @@ def run_fig2() -> tuple[dict, list[Check], dict]:
     y_star = steady_state_for(model, doc.y0)
     traj = integrate(model, make_scheme("geco1"), doc.y0, dt=1.0, n_steps=200)
     errors = np.max(np.abs(traj.states - y_star), axis=1)
-    tables = {"fig2.csv": (state_header(5, True), TrajectoryRows(model, traj, doc.y0, err_steady=errors))}
+    rows = TrajectoryRows(model, traj, doc.y0, err_steady=errors)
 
-    final_err = float(errors[-1])
-    defect = float(traj.invariant_defect.max())
     lowest = float(traj.min_component.min())
     checks = [
-        Check("final_error_to_steady_state", 0.0, 1e-10, final_err, final_err < 1e-10),
-        Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12),
+        Check.within("final_error_to_steady_state", 0.0, 1e-10, float(errors[-1])),
+        Check.within("max_invariant_defect", 0.0, 1e-12, float(traj.invariant_defect.max())),
         Check("min_component_nonnegative", 0.0, 0.0, lowest, lowest >= 0.0),
     ]
-    return tables, checks, {}
+    return {"fig2.csv": (rows.header, rows)}, checks, {}
 
 
 _BIFURCATION = {
@@ -245,19 +238,17 @@ def run_bifurcation(exp_id: str) -> tuple[dict, list[Check], dict]:
     traj = integrate(model, scheme, start, dt=dt, n_steps=steps)
     errors = np.max(np.abs(traj.states - y_star), axis=1)
     rows = TrajectoryRows(model, traj, start, err_steady=errors)
-    tables = {f"{exp_id}.csv": (state_header(5, True), rows)}
+    tables = {f"{exp_id}.csv": (rows.header, rows)}
 
-    defect = float(traj.invariant_defect.max())
-    checks = [Check("max_invariant_defect", 0.0, 1e-12, defect, defect <= 1e-12)]
+    checks = [Check.within("max_invariant_defect", 0.0, 1e-12, float(traj.invariant_defect.max()))]
+    first = float(errors[0])
     if variant == "convergent":
-        ratio = errors[-1] / errors[0]
-        checks.append(Check("error_contracted", 0.0, 1e-2, ratio, ratio < 1e-2))
+        checks.append(Check.within("error_contracted", 0.0, 1e-2, float(errors[-1]) / first))
     else:
+        # strict: the dip is a minimum over a window that holds errors[0] itself
         initial_dip = float(errors[: steps // 10].min())
         peak = float(errors.max())
-        checks.append(
-            Check("error_initially_decreases", 0.0, errors[0], initial_dip, initial_dip < errors[0])
-        )
+        checks.append(Check("error_initially_decreases", 0.0, first, initial_dip, initial_dip < first))
         checks.append(Check("error_grows_past_1e-4", 1e-3, "order of magnitude", peak, peak > 1e-4))
     return tables, checks, {"dt": dt, "dt_star": crit.dt_star, "scheme": scheme_name, "steps": steps}
 
@@ -269,18 +260,17 @@ def limit_crossing_time() -> float:
     y3 = 1 - 0.99 e^-t) on [0, 2] at steps of 1e-4 and extracts the crossing
     with the same sign-change interpolation used for numerical trajectories.
     """
-    grid_dt = 1e-4
-    times = np.arange(0.0, 2.0 + grid_dt, grid_dt)
+    times = np.arange(0.0, 2.0 + 1e-4, 1e-4)
     diff = 2.0 * 0.99 * np.exp(-times) - 1.0  # y2 - y3
-    return crossing_time(times, diff, skip_before=grid_dt / 2)
+    return crossing_time(times, diff)
 
 
-def crossing_time(times, diff, skip_before: float) -> float:
-    """First sign change of array ``diff`` from ``times >= skip_before``, linearly interpolated."""
-    found = ~(times[:-1] < skip_before) & ((diff[:-1] == 0.0) | (diff[:-1] * diff[1:] < 0.0))
+def crossing_time(times, diff) -> float:
+    """First sign change of ``diff`` after sample 0 (the start: paper-stiff's y2 = y3), linearly interpolated."""
+    found = (diff[1:-1] == 0.0) | (diff[1:-1] * diff[2:] < 0.0)
     if not found.any():
         raise ValueError("no sign change found in the sampled window")
-    k = int(found.argmax())
+    k = 1 + int(found.argmax())
     if diff[k] == 0.0:
         return float(times[k])
     frac = diff[k] / (diff[k] - diff[k + 1])
@@ -304,7 +294,7 @@ def geco1_stiff_crossing(K: float, dt: float, y0, n_steps: int) -> float:
     y1 = y0[0] * fast
     y2 = y0[1] * slow + y0[0] * K / (K - 1.0) * (slow - fast)
     diff = 2.0 * y2 + y1 - float(np.sum(y0))  # y2 - y3, as y3 = mass - y1 - y2
-    return crossing_time(n * dt, diff, skip_before=dt)
+    return crossing_time(n * dt, diff)
 
 
 def run_fig6() -> tuple[dict, list[Check], dict]:
@@ -313,27 +303,23 @@ def run_fig6() -> tuple[dict, list[Check], dict]:
     Each computed crossing is judged against the closed-form crossing of the
     discrete map (``geco1_stiff_crossing``) to 1e-12 relative.
     """
+    dt, steps = 0.1, 1000
     tables = {}
     checks = []
     crossings = {}
     for K in (10.0, 100.0):
         doc = resolve_builtin(f"builtin:paper-stiff?K={K:g}")
         model = doc.build()
-        traj = integrate(model, make_scheme("geco1"), doc.y0, dt=0.1, n_steps=1000)
-        tables[f"fig6_K{K:g}.csv"] = (state_header(3, False), TrajectoryRows(model, traj, doc.y0))
+        traj = integrate(model, make_scheme("geco1"), doc.y0, dt=dt, n_steps=steps)
+        rows = TrajectoryRows(model, traj, doc.y0)
+        tables[f"fig6_K{K:g}.csv"] = (rows.header, rows)
 
-        t_cross = crossing_time(traj.times, traj.states[:, 1] - traj.states[:, 2], skip_before=0.1)
+        t_cross = crossing_time(traj.times, traj.states[:, 1] - traj.states[:, 2])
         crossings[f"K{K:g}"] = t_cross
-        expected = geco1_stiff_crossing(K, 0.1, doc.y0, 1000)
-        tolerance = 1e-12 * expected
-        checks.append(Check(f"crossing_time_K{K:g}", expected, tolerance, t_cross,
-                            abs(t_cross - expected) <= tolerance))
+        expected = geco1_stiff_crossing(K, dt, doc.y0, steps)
+        checks.append(Check.within(f"crossing_time_K{K:g}", expected, 1e-12 * expected, t_cross))
 
-    exact = limit_crossing_time()
-    target = math.log(1.98)
-    checks.append(
-        Check("limit_reference_crossing", target, 1e-6, exact, abs(exact - target) <= 1e-6)
-    )
+    checks.append(Check.within("limit_reference_crossing", math.log(1.98), 1e-6, limit_crossing_time()))
     note = (
         "The crossings are judged against the closed-form crossing of the "
         "discrete map I + Phi*A, Phi = -expm1(-dt*(K+1))/(K+1). They come later "
@@ -357,11 +343,7 @@ def run_remark8() -> tuple[dict, list[Check], dict]:
             "unit_modulus_at_endpoint", 1.0, 1e-10,
             1.0 + endpoint.stability_residual, endpoint.stability_residual <= 1e-10,
         ),
-        Check(
-            "reduced_equation_residual", 0.0, 1e-8,
-            endpoint.reduced_equation_residual,
-            abs(endpoint.reduced_equation_residual) <= 1e-8,
-        ),
+        Check.within("reduced_equation_residual", 0.0, 1e-8, endpoint.reduced_equation_residual),
         Check(
             "reported_bracket_disagreement_flagged", "outside bracket", "exact",
             "outside bracket" if not endpoint.agrees_with_reported else "inside bracket",
@@ -385,15 +367,13 @@ def run_jacobians() -> tuple[dict, list[Check], dict]:
         doc = resolve_builtin(address)
         model = doc.build()
         y_star = steady_state_for(model, doc.y0)
-        for name in ("geco1", "geco2", "gbbks1", "gbbks2"):
+        for name in POSITIVE_SCHEMES:
             scheme = make_scheme(name)
             closed = stability.closed_form_jacobian(model, scheme, dt)
             fd = stability.numerical_jacobian(step_map(model, scheme, dt), y_star)
             gap = float(np.max(np.abs(fd - closed)))
             rows.append([doc.builtin, name, dt, gap])
-            checks.append(
-                Check(f"jacobian_gap_{doc.builtin}_{name}", 0.0, 1e-4, gap, gap <= 1e-4)
-            )
+            checks.append(Check.within(f"jacobian_gap_{doc.builtin}_{name}", 0.0, 1e-4, gap))
     return {"jacobians.csv": (["model", "scheme", "dt", "max_abs_error"], rows)}, checks, {}
 
 
@@ -434,16 +414,15 @@ def run_order() -> tuple[dict, list[Check], dict]:
     model = doc.build()
     rows = []
     checks = []
-    for name in ORDER_SCHEMES:
+    for name in POSITIVE_SCHEMES:
         scheme = make_scheme(name)
         table = observed_orders(model, scheme, doc.y0, 1.0, ORDER_LEVELS)
         for dt, err, order in table:
             rows.append([name, dt, err, "" if math.isnan(order) else order])
         if name == "geco1":
             # exact on this family: every error must sit at roundoff
-            worst = max(err for _, err, _ in table)
             bound = 1e-13 * float(np.max(np.abs(doc.y0)))
-            checks.append(Check("order_geco1", 0.0, bound, worst, worst <= bound))
+            checks.append(Check.within("order_geco1", 0.0, bound, max(err for _, err, _ in table)))
             continue
         tail = table[-1][2]
         lo, hi = (1.9, 2.1) if name in ("geco2", "gbbks2") else (0.9, 1.1)
@@ -483,9 +462,9 @@ def run_experiment(exp_id: str, outdir: str) -> tuple[list[str], list[Check]]:
     files = [os.path.join(outdir, name) for name in [*tables, f"{exp_id}_summary.json"]]
     for path, (header, rows) in zip(files, tables.values()):
         write_csv(path, header, rows)
-    payload = {"experiment": exp_id, "passed": all(bool(c.passed) for c in checks),
+    payload = {"experiment": exp_id, "passed": all(c.passed for c in checks),
                "checks": [c.__dict__ for c in checks], **extra}
     with _written(files[-1]) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_plain)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return files, checks

@@ -191,6 +191,8 @@ def resolve_builtin(address: str) -> ModelDocument:
     params = {}
     # no form decoding, which would turn the '+' of K=1e+06 into a space
     for item in query.split("&") if query else ():
+        if not item:
+            raise ModelError(f"empty parameter in {address!r}")
         key, _, value = item.partition("=")
         if key in params:
             raise ModelError(f"repeated parameter {key!r} in {address!r}")

@@ -231,7 +231,7 @@ def _geco1_crossing(K: float, dt: float) -> float:
     doc = resolve_builtin(f"builtin:paper-stiff?K={K:g}")
     traj = integrate(doc.build(), make_scheme("geco1"), doc.y0, dt, int(round(100.0 / dt)))
     states = np.array(traj.states)
-    return crossing_time(np.array(traj.times), states[:, 1] - states[:, 2], skip_before=dt)
+    return crossing_time(np.array(traj.times), states[:, 1] - states[:, 2])
 
 
 def test_criterion_08_stiff_crossings_as_stated():

@@ -185,6 +185,10 @@ def test_row_columns_match_per_state_evaluation():
         assert row[9] == float(np.max(np.abs(y - y_star)))
 
 
+#: The leading columns of a 5x5 trajectory table; the error columns follow.
+STATE_COLUMNS_5 = ["step", "t", "y_1", "y_2", "y_3", "y_4", "y_5", "inv_defect"]
+
+
 def whole_table(model, traj, start, y_star=None):
     """The table formed whole, one column_stack of full columns over the full flow."""
     start = np.asarray(start, dtype=float)
@@ -228,16 +232,17 @@ def test_streamed_table_has_the_bytes_of_the_whole_table(monkeypatch, capsys, tm
     traj = integrate(model, make_scheme("geco2"), doc.y0, 0.1, steps)
     argv = ["integrate", "--model", "builtin:paper-5x5", "--scheme", "geco2", "--dt", "0.1",
             "--steps", str(steps)]
-    want = written(experiments.state_header(5, False)[:-1] + ["err"], whole_table(model, traj, doc.y0))
+    want = written(STATE_COLUMNS_5 + ["err"], whole_table(model, traj, doc.y0))
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert main(argv) == 0
     assert capsys.readouterr().out == want
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") == want
 
     y_star = np.full(5, 2.6)
-    header = experiments.state_header(5, True)
+    header = STATE_COLUMNS_5 + ["err_ref", "err_steady"]
     errors = steady_errors(traj, y_star)
     rows = experiments.TrajectoryRows(model, traj, doc.y0, err_steady=errors)
+    assert rows.header == header
     experiments.write_csv(str(tmp_path / "steady.csv"), header, rows)
     table = whole_table(model, traj, doc.y0, y_star)
     assert (tmp_path / "steady.csv").read_text(encoding="utf-8") == written(header, table)
@@ -254,17 +259,58 @@ def test_export_memory_does_not_grow_with_the_run(tmp_path):
     doc = resolve_builtin("builtin:paper-5x5")
     model = doc.build()
     trajs = [integrate(model, make_scheme("geco1"), doc.y0, 0.01, n) for n in (2000, 20000)]
-    header = experiments.state_header(5, False)
     peaks = []
     for traj in trajs:
         tracemalloc.start()
         try:
-            experiments.write_csv(str(tmp_path / "run.csv"), header,
-                                  experiments.TrajectoryRows(model, traj, doc.y0))
+            rows = experiments.TrajectoryRows(model, traj, doc.y0)
+            experiments.write_csv(str(tmp_path / "run.csv"), rows.header, rows)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 128 * 1024, peaks
+
+
+@pytest.mark.parametrize("dim", [3, 5, 16])
+def test_trajectory_table_names_its_columns(dim):
+    """The header takes N from the states, ``err_steady`` from the series, the flow error's name as given."""
+    model = stability.random_conservative_system(0, dim)
+    traj = integrate(model, make_scheme("geco1"), np.ones(dim), 0.1, 2)
+    states = [f"y_{i}" for i in range(1, dim + 1)]
+    plain = experiments.TrajectoryRows(model, traj, np.ones(dim))
+    assert plain.header == ["step", "t", *states, "inv_defect", "err_ref"]
+    steady = experiments.TrajectoryRows(model, traj, np.ones(dim), err_steady=np.zeros(3))
+    assert steady.header == ["step", "t", *states, "inv_defect", "err_ref", "err_steady"]
+    cli = experiments.TrajectoryRows(model, traj, np.ones(dim), flow_error="err")
+    assert cli.header == ["step", "t", *states, "inv_defect", "err"]
+    assert whole(steady).shape[1] == len(steady.header) and whole(cli).shape[1] == len(cli.header)
+
+
+def test_trajectory_table_narrower_header_is_refused():
+    doc = resolve_builtin("builtin:paper-5x5")
+    model = doc.build()
+    rows = experiments.TrajectoryRows(model, integrate(model, make_scheme("geco1"), doc.y0, 0.1, 3), doc.y0)
+    with pytest.raises(ValueError, match="row width does not match header"):
+        experiments.write_rows(io.StringIO(), rows.header[:-1], rows)
+
+
+def test_check_within_passes_at_its_tolerance_and_not_one_ulp_beyond():
+    at = experiments.Check.within("gap", 1.0, 0.5, 1.5)
+    beyond = experiments.Check.within("gap", 1.0, 0.5, math.nextafter(1.5, 2.0))
+    below = experiments.Check.within("gap", 1.0, 0.5, 0.5)
+    assert (at.passed, beyond.passed, below.passed) == (True, False, True)
+    assert (at.name, at.expected, at.tolerance, at.observed) == ("gap", 1.0, 0.5, 1.5)
+    for value in (np.float64, np.float32):
+        check = experiments.Check.within("gap", value(1.0), value(0.5), value(1.5))
+        assert type(check.passed) is bool and check.passed
+        assert type(experiments.Check.within("gap", value(1.0), value(0.5), value(2.0)).passed) is bool
+
+
+def test_unknown_experiment_is_refused_before_its_directory_exists(tmp_path):
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match="unknown experiment 'fig7'"):
+        experiments.run_experiment("fig7", str(outdir))
+    assert not outdir.exists()
 
 
 def test_trajectory_rows_are_formed_once():
@@ -341,11 +387,9 @@ def test_failing_experiment_writes_no_file(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def crossing_by_scan(times, diff, skip_before):
-    """The element-by-element scan ``crossing_time`` had, kept as its oracle."""
-    for k in range(len(times) - 1):
-        if times[k] < skip_before:
-            continue
+def crossing_by_scan(times, diff):
+    """The element-by-element scan ``crossing_time`` had, from sample 1, kept as its oracle."""
+    for k in range(1, len(times) - 1):
         if diff[k] == 0.0:
             return float(times[k])
         if diff[k] * diff[k + 1] < 0.0:
@@ -357,11 +401,11 @@ def crossing_by_scan(times, diff, skip_before):
 def fig6_crossing_inputs():
     """fig6's limit reference grid and its two geco1 runs, as ``run_fig6`` passes them."""
     times = np.arange(0.0, 2.0 + 1e-4, 1e-4)
-    cases = {"limit": (times, 2.0 * 0.99 * np.exp(-times) - 1.0, 1e-4 / 2)}
+    cases = {"limit": (times, 2.0 * 0.99 * np.exp(-times) - 1.0)}
     for K in (10.0, 100.0):
         doc = resolve_builtin(f"builtin:paper-stiff?K={K:g}")
         traj = integrate(doc.build(), make_scheme("geco1"), doc.y0, dt=0.1, n_steps=1000)
-        cases[f"K{K:g}"] = (traj.times, traj.states[:, 1] - traj.states[:, 2], 0.1)
+        cases[f"K{K:g}"] = (traj.times, traj.states[:, 1] - traj.states[:, 2])
     return cases
 
 
@@ -369,26 +413,27 @@ def test_crossing_time_has_the_bits_of_the_scan():
     """The vectorised search returns the scan's float, or raises where it raises."""
     t = np.arange(6) * 0.5
     cases = {
-        "exact zero": (t, np.array([1.0, 0.5, 0.0, -0.5, -1.0, -2.0]), 0.25),
-        "zero before skip_before": (t, np.array([0.0, 1.0, 2.0, -1.0, -2.0, -3.0]), 0.25),
-        "change at skip_before": (t, np.array([1.0, -1.0, 2.0, 3.0, 4.0, 5.0]), 0.5),
-        "zero at the last point": (t, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.0]), 0.0),
+        "exact zero": (t, np.array([1.0, 0.5, 0.0, -0.5, -1.0, -2.0])),
+        "zero at the start sample": (t, np.array([0.0, 1.0, 2.0, -1.0, -2.0, -3.0])),
+        "change at sample 1": (t, np.array([1.0, -1.0, 2.0, 3.0, 4.0, 5.0])),
+        "zero at the last point": (t, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])),
         **fig6_crossing_inputs(),
     }
     rng = np.random.default_rng(7)
     for i in range(20):
         times = np.cumsum(rng.random(40))
         diff = rng.integers(-1, 4, 40) * rng.random(40)  # exact zeros and long one-signed runs
-        cases[f"random {i}"] = (times, diff, times[rng.integers(40)])
-    for name, (times, diff, skip_before) in cases.items():
+        cases[f"random {i}"] = (times, diff)
+    for name, (times, diff) in cases.items():
         try:
-            want = crossing_by_scan(times, diff, skip_before)
+            want = crossing_by_scan(times, diff)
         except ValueError:
             with pytest.raises(ValueError, match="no sign change"):
-                experiments.crossing_time(times, diff, skip_before)
+                experiments.crossing_time(times, diff)
             continue
-        assert repr(experiments.crossing_time(times, diff, skip_before)) == repr(want), name
+        assert repr(experiments.crossing_time(times, diff)) == repr(want), name
     assert experiments.crossing_time(*cases["exact zero"]) == 1.0
-    assert experiments.crossing_time(*cases["change at skip_before"]) == 0.5 + (-1.0 / (-1.0 - 2.0)) * 0.5
+    assert experiments.crossing_time(*cases["zero at the start sample"]) == 1.0 + (2.0 / (2.0 + 1.0)) * 0.5
+    assert experiments.crossing_time(*cases["change at sample 1"]) == 0.5 + (-1.0 / (-1.0 - 2.0)) * 0.5
     with pytest.raises(ValueError, match="no sign change"):
         experiments.crossing_time(*cases["zero at the last point"])

@@ -1,5 +1,6 @@
 """Model layer: linear models, steady states, model files, builtins."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,11 @@ class TestModelFiles:
             pds.resolve_builtin("builtin:paper-2x2?a=nan")
         with pytest.raises(ModelError, match="non-finite parameter K='1e309'"):
             pds.resolve_builtin("builtin:paper-stiff?K=1e309")
+        with pytest.raises(ModelError, match=re.escape("empty parameter in 'builtin:paper-2x2?a=1&'")):
+            pds.resolve_builtin("builtin:paper-2x2?a=1&")
+        # an empty query names no parameter and is the defaults
+        npt.assert_array_equal(pds.resolve_builtin("builtin:paper-2x2?").matrix,
+                               pds.resolve_builtin("builtin:paper-2x2").matrix)
 
     def test_load_model_from_file(self, tmp_path):
         path = tmp_path / "model.txt"
